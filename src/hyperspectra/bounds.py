@@ -26,8 +26,6 @@ from .extensions import RootedPair, is_strictly_balanced_pair, pair_density
 from .hypergraph import (Hypergraph, automorphism_count, density,
                          is_strictly_balanced)
 
-Rational = Fraction
-
 
 def _require(cond: bool, message: str):
     if not cond:

@@ -21,8 +21,9 @@ from typing import Optional, Union
 from .bounds import unextendable_poisson_rate
 from .errors import BudgetExceeded, HypothesisViolated
 from .extensions import RootedPair, strict_extensions
-from .hypergraph import (Hypergraph, automorphism_count, contains_copy,
-                         count_copies, density, is_strictly_balanced)
+from . import hypergraph
+from .hypergraph import (Hypergraph, automorphism_count, contains_copy, density,
+                         is_strictly_balanced)
 from .logic import Formula, evaluate, parse
 from .sampling import ModelParams, p_from_alpha, sample, sample_coupled
 
@@ -352,11 +353,15 @@ def copy_count_distribution(patterns, n: int, trials: int, seed: int,
                 f"patterns must share one density: {density(g)} != {rho}")
     if p is None:
         p = p_from_alpha(n, 1 / rho)
+    auts = [automorphism_count(g, cap=cap) for g in patterns]
     counts = [[] for _ in patterns]
     for t in range(trials):
         host = sample(ModelParams(patterns[0].s, n, p=p, seed=seed, trial_index=t))
         for i, g in enumerate(patterns):
-            counts[i].append(count_copies(host, g, cap=cap))
+            # looked up on the module, where span tracers wrap it
+            emb = hypergraph.count_embeddings(host, g, cap=cap)
+            assert emb % auts[i] == 0, "embedding count must be divisible by automorphisms"
+            counts[i].append(emb // auts[i])
     histograms = []
     means = []
     rates = []
@@ -365,7 +370,7 @@ def copy_count_distribution(patterns, n: int, trials: int, seed: int,
         hist = {}
         for c in counts[i]:
             hist[c] = hist.get(c, 0) + 1
-        lam = 1.0 / automorphism_count(g, cap=cap)
+        lam = 1.0 / auts[i]
         histograms.append(hist)
         means.append(sum(counts[i]) / trials)
         rates.append(lam)

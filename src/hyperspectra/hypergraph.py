@@ -9,9 +9,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, factorial, perm
+from operator import ge
+from typing import NamedTuple
 
 from .errors import CapExceeded, FormatError, enum_cap, DEFAULT_ENUM_CAP
 from .maxflow import FlowNetwork
@@ -310,18 +312,116 @@ def _count_core_automorphisms(g: Hypergraph) -> int:
     return extend(0)
 
 
+class _SearchPlan(NamedTuple):
+    """The pattern's half of an embedding search; see `_search_plan`."""
+
+    degrees: tuple[int, ...]
+    isolated: int  # vertices of degree 0
+    profiles: tuple[tuple[int, ...], ...]  # minimal edge profiles, for peeling
+    # per step: (placed vertices of the edge, new vertices, edges to check
+    # as each new vertex lands, the edge's profile if it starts a component)
+    steps: tuple[tuple, ...]
+    connected: bool
+
+
+@lru_cache(maxsize=256)
+def _search_plan(pattern: Hypergraph) -> _SearchPlan:
+    """Edge order, checks and degree profiles, computed once per pattern.
+
+    An edge's profile is the sorted degrees of its vertices.  Each
+    component starts at its most degree-constrained edge; after that the
+    edge with the most vertices already placed goes next.  An edge whose
+    vertices all land before its turn is checked when its last vertex
+    lands and gets no step of its own.
+    """
+    deg = tuple(pattern.degree(x) for x in range(pattern.n))
+    profile = {e: tuple(sorted(deg[x] for x in e)) for e in pattern.edges}
+
+    def tightness(e: Edge):
+        return (sum(profile[e]), profile[e])
+
+    placed: set[int] = set()
+    left = list(pattern.edges)
+    steps = []
+    while left:
+        touching = [e for e in left if not placed.isdisjoint(e)]
+        if touching:
+            pick = max(touching, key=lambda e: (len(placed.intersection(e)), tightness(e)))
+        else:
+            pick = max(left, key=tightness)
+        known = tuple(x for x in pick if x in placed)
+        new = tuple(sorted((x for x in pick if x not in placed), key=lambda x: -deg[x]))
+        checks = []
+        for x in new:
+            placed.add(x)
+            checks.append(tuple(e for e in pattern.incident[x]
+                                if e != pick and placed.issuperset(e)))
+        left = [e for e in left if not placed.issuperset(e)]
+        steps.append((known, new, tuple(checks), None if known else profile[pick]))
+    profiles = set(profile.values())
+    minimal = tuple(sorted(p for p in profiles
+                           if not any(q != p and all(map(ge, p, q)) for q in profiles)))
+    return _SearchPlan(deg, pattern.n - len(placed), minimal,
+                       tuple(steps), sum(1 for st in steps if not st[0]) == 1)
+
+
+def _peel(edges, profiles) -> list[Edge]:
+    """Host edges that can still hold some pattern edge, to a fixed point.
+
+    An edge survives while the sorted degrees of its vertices, counted
+    among surviving edges, dominate some pattern edge profile position by
+    position.  The image of every embedding survives, so no answer changes.
+    """
+    deg, inc = _incidence(edges)
+    # the test only sees min(degree, top): higher degrees need no recheck
+    top = max(max(p) for p in profiles)
+    alive = set(edges)
+    stack = list(edges)
+    while stack:
+        f = stack.pop()
+        if f not in alive:
+            continue
+        have = sorted([deg[x] for x in f])
+        for p in profiles:
+            if all(map(ge, have, p)):
+                break
+        else:
+            alive.remove(f)
+            for x in f:
+                deg[x] -= 1
+                if deg[x] < top:
+                    stack += inc[x]
+    return [f for f in edges if f in alive]
+
+
+def _incidence(edges) -> tuple[dict[int, int], dict[int, list[Edge]]]:
+    """Degrees and incident edges of the vertices these edges touch."""
+    deg: dict[int, int] = {}
+    inc: dict[int, list[Edge]] = {}
+    for f in edges:
+        for x in f:
+            if x in deg:
+                deg[x] += 1
+                inc[x].append(f)
+            else:
+                deg[x] = 1
+                inc[x] = [f]
+    return deg, inc
+
+
 def _embedding_search(host: Hypergraph, pattern: Hypergraph, *, count_all: bool,
                       induced: bool = False) -> int:
     """Backtracking count of injective edge-preserving maps pattern -> host.
 
     With count_all False, stops at the first embedding (returns 0/1).
+    Non-induced searches first peel the host (`_peel`); induced ones keep
+    every host edge.  A connected pattern then needs a host component with
+    enough edges and vertices.
     """
     if pattern.s != host.s:
         raise ValueError("pattern and host must share the same uniformity")
-    isolated = [x for x in range(pattern.n) if pattern.degree(x) == 0]
-    core_verts = [x for x in range(pattern.n) if pattern.degree(x) > 0]
-    free_slots = host.n - len(core_verts)
-    if free_slots < len(isolated):
+    plan = _search_plan(pattern)
+    if host.n < pattern.n:
         return 0
 
     def isolated_placements(core_image: set[int]) -> int:
@@ -330,7 +430,7 @@ def _embedding_search(host: Hypergraph, pattern: Hypergraph, *, count_all: bool,
         Non-induced embeddings never care where they land; induced ones
         must keep the full image edge count at exactly pattern.e.
         """
-        k = len(isolated)
+        k = plan.isolated
         if not induced:
             return perm(host.n - len(core_image), k)
         if k == 0:
@@ -345,72 +445,60 @@ def _embedding_search(host: Hypergraph, pattern: Hypergraph, *, count_all: bool,
                 good += 1
         return good * factorial(k)
 
-    if not core_verts:
+    if not plan.steps:
         total = isolated_placements(set())
         return total if count_all else (1 if total else 0)
 
-    # order pattern edges so each one touches previously covered vertices
-    # whenever its component allows
-    edges_left = list(pattern.edges)
-    ordered: list[Edge] = []
-    covered: set[int] = set()
-    while edges_left:
-        pick = next((e for e in edges_left if covered & set(e)), edges_left[0])
-        edges_left.remove(pick)
-        ordered.append(pick)
-        covered |= set(pick)
-
-    host_deg = [host.degree(x) for x in range(host.n)]
-    pat_deg = [pattern.degree(x) for x in range(pattern.n)]
-    image: dict[int, int] = {}
+    edges = host.edges if induced else _peel(host.edges, plan.profiles)
+    if len(edges) < pattern.e:
+        return 0
+    core = pattern.n - plan.isolated
+    if plan.connected and not _has_component_at_least(edges, pattern.e, core):
+        return 0
+    deg, inc = _incidence(edges)
+    # a component's first edge only goes where the host degrees allow it
+    roots = {}
+    for i, (_, _, _, prof) in enumerate(plan.steps):
+        if prof is not None:
+            roots[i] = [f for f in edges if all(map(ge, sorted([deg[x] for x in f]), prof))]
+    steps, pat_deg, edge_set = plan.steps, plan.degrees, host.edge_set
+    image = [0] * pattern.n
     used: set[int] = set()
 
-    def place(edge_idx: int) -> int:
-        if edge_idx == len(ordered):
-            return isolated_placements(set(image.values()))
-        pe = ordered[edge_idx]
-        mapped = [x for x in pe if x in image]
-        unmapped = [x for x in pe if x not in image]
-        if mapped:
-            anchor = min((image[x] for x in mapped), key=lambda w: host_deg[w])
-            candidates = [f for f in host.incident[anchor]
-                          if all(image[x] in f for x in mapped)]
+    def place(i: int) -> int:
+        if i == len(steps):
+            return isolated_placements(used)
+        known = steps[i][0]
+        if known:
+            imgs = [image[x] for x in known]
+            anchor = min(imgs, key=deg.__getitem__)
+            candidates = [f for f in inc[anchor] if all(w in f for w in imgs)]
         else:
-            candidates = list(host.edges)
+            imgs = []
+            candidates = roots[i]
         total = 0
         for f in candidates:
-            slots = [w for w in f if w not in (image[x] for x in mapped)]
-            if len(slots) != len(unmapped):
-                continue
-            total += assign(unmapped, slots, edge_idx)
+            total += assign(i, 0, [w for w in f if w not in imgs])
             if total and not count_all:
                 return total
         return total
 
-    def assign(unmapped: list[int], slots: list[int], edge_idx: int) -> int:
-        if not unmapped:
-            return place(edge_idx + 1)
-        x, rest = unmapped[0], unmapped[1:]
+    def assign(i: int, j: int, slots: list[int]) -> int:
+        new = steps[i][1]
+        if j == len(new):
+            return place(i + 1)
+        x, checks = new[j], steps[i][2][j]
         total = 0
         for w in slots:
-            if w in used or host_deg[w] < pat_deg[x]:
-                continue
-            # every pattern edge through x that is already fully mapped
-            # must land on a host edge
-            ok = True
-            for e in pattern.incident[x]:
-                if all(y == x or y in image for y in e):
-                    landed = tuple(sorted(w if y == x else image[y] for y in e))
-                    if landed not in host.edge_set:
-                        ok = False
-                        break
-            if not ok:
+            if w in used or deg[w] < pat_deg[x]:
                 continue
             image[x] = w
+            # pattern edges through x whose vertices have all landed
+            if not all(tuple(sorted(image[y] for y in e)) in edge_set for e in checks):
+                continue
             used.add(w)
-            total += assign(rest, [u for u in slots if u != w], edge_idx)
+            total += assign(i, j + 1, [u for u in slots if u != w])
             used.discard(w)
-            del image[x]
             if total and not count_all:
                 return total
         return total
@@ -443,37 +531,17 @@ def count_copies(host: Hypergraph, pattern: Hypergraph, cap: int | None = None,
 
 
 def contains_copy(host: Hypergraph, pattern: Hypergraph) -> bool:
-    """Early-exit containment check with a component-size prefilter."""
+    """Early-exit containment check (the search peels and prefilters)."""
     if pattern.e == 0:
         return host.n >= pattern.n
     if pattern.e > host.e or pattern.n > host.n:
         return False
-    if _is_connected_pattern(pattern):
-        need_v = sum(1 for x in range(pattern.n) if pattern.degree(x) > 0)
-        if not _has_component_at_least(host, pattern.e, need_v):
-            return False
-        if host.n - pattern.n < 0:
-            return False
     return _embedding_search(host, pattern, count_all=False) > 0
 
 
-def _is_connected_pattern(pattern: Hypergraph) -> bool:
-    core = [x for x in range(pattern.n) if pattern.degree(x) > 0]
-    if not core:
-        return False
-    seen = {core[0]}
-    stack = [core[0]]
-    while stack:
-        x = stack.pop()
-        for y in pattern.neighbors[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(core)
-
-
-def _has_component_at_least(host: Hypergraph, min_edges: int, min_verts: int) -> bool:
-    parent = list(range(host.n))
+def _has_component_at_least(edges, min_edges: int, min_verts: int) -> bool:
+    """Does some component of these edges have that many edges and vertices?"""
+    parent = {x: x for f in edges for x in f}
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -481,21 +549,22 @@ def _has_component_at_least(host: Hypergraph, min_edges: int, min_verts: int) ->
             x = parent[x]
         return x
 
-    for e in host.edges:
-        r = find(e[0])
-        for y in e[1:]:
+    for f in edges:
+        r = find(f[0])
+        for y in f[1:]:
             ry = find(y)
             if ry != r:
                 parent[ry] = r
     edge_count: dict[int, int] = {}
     vert_count: dict[int, int] = {}
-    for e in host.edges:
-        edge_count[find(e[0])] = edge_count.get(find(e[0]), 0) + 1
-    for x in range(host.n):
-        if host.degree(x) > 0:
-            vert_count[find(x)] = vert_count.get(find(x), 0) + 1
-    return any(edge_count.get(r, 0) >= min_edges and c >= min_verts
-               for r, c in vert_count.items())
+    for f in edges:
+        r = find(f[0])
+        edge_count[r] = edge_count.get(r, 0) + 1
+    for x in parent:
+        r = find(x)
+        vert_count[r] = vert_count.get(r, 0) + 1
+    return any(c >= min_edges and vert_count[r] >= min_verts
+               for r, c in edge_count.items())
 
 
 def is_isomorphic(g1: Hypergraph, g2: Hypergraph, cap: int | None = None) -> bool:

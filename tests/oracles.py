@@ -31,6 +31,19 @@ def brute_embedding_count(host: Hypergraph, pattern: Hypergraph) -> int:
     return count
 
 
+def brute_induced_embedding_count(host: Hypergraph, pattern: Hypergraph) -> int:
+    """Injective maps whose image spans exactly the images of the pattern edges."""
+    count = 0
+    for perm in itertools.permutations(range(host.n), pattern.n):
+        mapped = [tuple(sorted(perm[x] for x in e)) for e in pattern.edges]
+        if not all(f in host.edge_set for f in mapped):
+            continue
+        image = set(perm)
+        if {f for f in host.edges if image.issuperset(f)} == set(mapped):
+            count += 1
+    return count
+
+
 def brute_automorphisms(g: Hypergraph) -> list[tuple[int, ...]]:
     out = []
     for perm in itertools.permutations(range(g.n)):

@@ -21,6 +21,7 @@ from hyperspectra.hypergraph import (
     is_strictly_balanced,
     max_density,
 )
+from hyperspectra.hypergraph import _peel, _search_plan
 
 import oracles
 
@@ -173,6 +174,79 @@ class TestCopies:
                 continue
             assert contains_copy(host, pat) == (
                 oracles.brute_embedding_count(host, pat) > 0)
+
+
+class TestSparseHosts:
+    """Hosts sparse enough that peeling removes edges, against brute force."""
+
+    # degree-1 vertices, isolated vertices, two components
+    PATTERNS = {
+        2: [Hypergraph(2, 5, [(0, 1), (1, 2), (3, 4)]),
+            Hypergraph(2, 5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+            Hypergraph(2, 4, [(0, 1), (1, 2)]),
+            Hypergraph(2, 4, [(0, 1), (0, 2), (0, 3)])],
+        3: [Hypergraph(3, 6, [(0, 1, 2), (2, 3, 4)]),
+            Hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)]),
+            Hypergraph(3, 5, [(0, 1, 2), (0, 1, 3)]),
+            Hypergraph(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])],
+    }
+
+    def test_disconnected_pattern_embeds_in_itself(self):
+        # each component's first edge must be filtered by its own profile
+        star = [(0, 1, 2), (0, 3, 4), (0, 5, 6)]
+        cycle = [(7, 8, 9), (9, 10, 11), (7, 11, 12)]
+        g = Hypergraph(3, 13, star + cycle)
+        assert count_embeddings(g, g, cap=13) == 288 == automorphism_count(g, cap=13)
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_embeddings_match_bruteforce(self, s):
+        rng = random.Random(40 + s)
+        peeled_hits = 0
+        for i in range(16):
+            pat = self.PATTERNS[s][i % 4]
+            # brute force walks (n)_v maps: keep 6-vertex patterns on n <= 9
+            n = rng.randint(8, 11 if pat.n <= 5 else 9)
+            host = oracles.random_hypergraph(rng, s, n, rng.uniform(0.05, 0.12))
+            if i % 2:
+                # plant a copy, so that peeling has something to keep
+                image = rng.sample(range(n), pat.n)
+                planted = [tuple(image[x] for x in e) for e in pat.edges]
+                host = Hypergraph(s, n, host.edges + tuple(planted))
+            emb = oracles.brute_embedding_count(host, pat)
+            assert count_embeddings(host, pat) == emb
+            assert contains_copy(host, pat) == (emb > 0)
+            assert count_embeddings(host, pat, induced=True) == (
+                oracles.brute_induced_embedding_count(host, pat))
+            kept = _peel(host.edges, _search_plan(pat).profiles)
+            peeled_hits += emb > 0 and len(kept) < host.e
+        assert peeled_hits >= 2
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_isomorphism_matches_bruteforce(self, s):
+        rng = random.Random(50 + s)
+        same = 0
+        for _ in range(8):
+            g = oracles.random_hypergraph(rng, s, 8, rng.uniform(0.05, 0.15))
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            edges = [tuple(sorted(perm[x] for x in e)) for e in g.edges]
+            assert is_isomorphic(g, Hypergraph(s, g.n, edges))
+            if len(edges) >= 2:
+                # move a vertex between two edges: same degrees, maybe
+                # another hypergraph
+                e1, e2 = rng.sample(edges, 2)
+                a = rng.choice([x for x in e1 if x not in e2])
+                b = rng.choice([x for x in e2 if x not in e1])
+                f1 = tuple(sorted(b if x == a else x for x in e1))
+                f2 = tuple(sorted(a if x == b else x for x in e2))
+                if f1 not in edges and f2 not in edges:
+                    edges = [e for e in edges if e not in (e1, e2)] + [f1, f2]
+            h = Hypergraph(s, g.n, edges)
+            # equal edge counts make an injective edge-preserving map onto
+            want = oracles.brute_embedding_count(h, g) > 0
+            same += want
+            assert is_isomorphic(g, h) == want
+        assert 0 < same < 8
 
 
 class TestDistance:

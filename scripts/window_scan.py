@@ -12,6 +12,7 @@ import argparse
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hyperspectra.bounds import build_two_cycle_witness
 from hyperspectra.experiments import (ExperimentConfig, PropertySpec,
@@ -28,7 +29,8 @@ def main(argv=None) -> int:
     ap.add_argument("--n", type=int, nargs="+", default=[40, 60, 90, 135])
     ap.add_argument("--trials", type=int, default=1000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--out", help="append per-trial records as JSONL")
+    ap.add_argument("--out", help="append per-trial records as JSONL, one file "
+                    "per n (OUT with -n<n> before its suffix)")
     args = ap.parse_args(argv)
 
     w = build_two_cycle_witness(args.s, args.even_half, args.odd_half,
@@ -39,10 +41,15 @@ def main(argv=None) -> int:
           f"limit 1-exp(-1/{aut}) = {1 - math.exp(-1 / aut):.4f}")
     print("n estimate ci_lo ci_hi")
     for n in args.n:
+        # each n is its own config, and a JSONL file holds one config's records
+        out_path = None
+        if args.out:
+            out = Path(args.out)
+            out_path = str(out.with_name(f"{out.stem}-n{n}{out.suffix}"))
         cfg = ExperimentConfig(s=args.s, n_list=(n,),
                                prop=PropertySpec(kind="pattern", pattern=w),
                                trials=args.trials, seed=args.seed, alpha=alpha,
-                               out_path=args.out)
+                               out_path=out_path)
         r = estimate_probability(cfg)
         print(f"{n} {r.estimate:.4f} {r.ci_lo:.4f} {r.ci_hi:.4f}")
     return 0

@@ -40,7 +40,6 @@ from .game import extension_strategy, mirror_strategy, solve, verify_strategy
 from .hypergraph import (
     Hypergraph,
     automorphism_count,
-    count_copies,
     count_embeddings,
     density,
     from_json,
@@ -371,13 +370,11 @@ def cmd_poisson(args):
 def cmd_count_copies(args):
     host = load_hypergraph(args.infile)
     pattern = load_hypergraph(args.pattern)
-    doc = {"schema": "hyperspectra.count-copies.v1",
-           "embeddings": count_embeddings(host, pattern, cap=args.budget,
-                                          induced=args.induced),
-           "copies": count_copies(host, pattern, cap=args.budget,
-                                  induced=args.induced),
-           "automorphisms": automorphism_count(pattern, cap=args.budget),
-           "induced": args.induced}
+    emb = count_embeddings(host, pattern, cap=args.budget, induced=args.induced)
+    aut = automorphism_count(pattern, cap=args.budget)
+    assert emb % aut == 0, "embedding count must be divisible by automorphisms"
+    doc = {"schema": "hyperspectra.count-copies.v1", "embeddings": emb,
+           "copies": emb // aut, "automorphisms": aut, "induced": args.induced}
     return doc, None
 
 

@@ -549,11 +549,22 @@ def _record_from_dict(doc: dict) -> TrialRecord:
 
 
 def save_jsonl(path, cfg: ExperimentConfig, records, append: bool = False):
-    """Write a header line (schema, config, digest) then one record per line."""
-    mode = "a" if append else "w"
+    """Write a header line (schema, config, digest) then one record per line.
+
+    Appending to a non-empty file needs its header's digest to match cfg's;
+    otherwise ValueError, so records of different configs never mix.
+    """
+    mode = "a+" if append else "w"
     try:
         with open(path, mode) as fh:
-            if fh.tell() == 0:
+            if fh.tell():
+                fh.seek(0)
+                found = json.loads(fh.readline()).get("digest")
+                if found != cfg.digest():
+                    raise ValueError(f"{path}: holds records of digest {found}, "
+                                     f"not {cfg.digest()}; refusing to append")
+                fh.seek(0, 2)
+            else:
                 header = {"schema": JSONL_SCHEMA, "digest": cfg.digest(),
                           "config": {"s": cfg.s, "n_list": list(cfg.n_list),
                                      "alpha": None if cfg.alpha is None

@@ -125,7 +125,8 @@ def _intermediate_sets(pair: RootedPair, cap: int | None):
 
     Yields (W sorted tuple, edge count of G inside W).  The W = roots
     entry is skipped when the induced root edges equal E(H) exactly
-    (that K would be H itself, excluded everywhere).
+    (that K would be H itself, excluded everywhere).  Edges are bitmasks
+    of their added vertices, so W holds an edge iff its mask covers it.
     """
     limit = enum_cap(DEFAULT_PAIR_CAP, cap)
     if pair.v_diff > limit:
@@ -133,13 +134,17 @@ def _intermediate_sets(pair: RootedPair, cap: int | None):
             f"pair adds {pair.v_diff} vertices, intermediate cap is {limit}")
     base = tuple(range(pair.roots))
     added = pair.added_vertices
+    bits = tuple(1 << x for x in added)
+    masks = [sum(1 << x for x in e if x >= pair.roots) for e in pair.g.edges]
+    at_roots = masks.count(0)
+    masks = [m for m in masks if m]
     for size in range(len(added) + 1):
-        for extra in combinations(added, size):
-            w = base + extra
-            inside = pair.g.edges_inside(w)
+        for extra, picked in zip(combinations(added, size), combinations(bits, size)):
+            m = sum(picked)
+            inside = at_roots + sum([f & m == f for f in masks])
             if size == 0 and inside == len(pair.h_edges):
                 continue
-            yield w, inside
+            yield base + extra, inside
 
 
 def pair_max_density(pair: RootedPair, cap: int | None = None) -> Fraction:
@@ -147,15 +152,13 @@ def pair_max_density(pair: RootedPair, cap: int | None = None) -> Fraction:
     if pair.v_diff == 0:
         raise DegeneratePair("pair adds no vertices, rho^max(G, H) undefined")
     e_h = len(pair.h_edges)
-    best = None
+    best = None  # (added edges, added vertices), compared by cross-multiplying
     for w, inside in _intermediate_sets(pair, cap):
-        if len(w) == pair.roots:
-            continue
-        rho = Fraction(inside - e_h, len(w) - pair.roots)
-        if best is None or rho > best:
-            best = rho
+        k = len(w) - pair.roots
+        if k and (best is None or (inside - e_h) * best[1] > best[0] * k):
+            best = (inside - e_h, k)
     assert best is not None
-    return best
+    return Fraction(*best)
 
 
 def f_alpha(pair: RootedPair, alpha: Fraction) -> Fraction:
@@ -178,37 +181,42 @@ def classify_pair(pair: RootedPair, alpha: Fraction, cap: int | None = None) -> 
     Quantifiers run over induced intermediates only: for each vertex set
     the induced K extremizes both f_alpha(K, H) and f_alpha(G, K), so the
     sub-edge-set choices the definitions allow can never flip an answer.
+    Values are kept as integers d * f_alpha, alpha = c/d; only the
+    reported witness value becomes a Fraction.
     """
     alpha = Fraction(alpha)
+    c, d = alpha.numerator, alpha.denominator
     v_g, e_g = pair.g.n, pair.g.e
     e_h = len(pair.h_edges)
     full = tuple(range(v_g))
 
-    f_kh = {}   # W -> f_alpha(K_W, H), K ranging over H < K <= G
-    f_gk = {}   # W -> f_alpha(G, K_W), K ranging over H <= K < G
-    f_gk[tuple(range(pair.roots))] = (Fraction(pair.v_diff)
-                                      - alpha * Fraction(pair.e_diff))
+    f_kh = {}   # W -> d * f_alpha(K_W, H), K ranging over H < K <= G
+    f_gk = {}   # W -> d * f_alpha(G, K_W), K ranging over H <= K < G
+    f_gk[tuple(range(pair.roots))] = d * pair.v_diff - c * pair.e_diff
     for w, inside in _intermediate_sets(pair, cap):
-        f_kh[w] = Fraction(len(w) - pair.roots) - alpha * (inside - e_h)
+        f_kh[w] = d * (len(w) - pair.roots) - c * (inside - e_h)
         if w != full:
-            f_gk[w] = Fraction(v_g - len(w)) - alpha * (e_g - inside)
+            f_gk[w] = d * (v_g - len(w)) - c * (e_g - inside)
+
+    def verdict(kind: str, w: tuple[int, ...], value: int) -> PairClass:
+        return PairClass(kind, w, Fraction(value, d))
 
     if f_kh and all(v > 0 for v in f_kh.values()):
         worst = min(f_kh, key=lambda w: (f_kh[w], w))
-        return PairClass("safe", worst, f_kh[worst])
+        return verdict("safe", worst, f_kh[worst])
     if all(v < 0 for v in f_gk.values()):
         worst = max(f_gk, key=lambda w: (f_gk[w], w))
-        return PairClass("rigid", worst, f_gk[worst])
+        return verdict("rigid", worst, f_gk[worst])
     whole = f_kh.get(full)
     propers = {w: v for w, v in f_kh.items() if w != full}
     if whole == 0 and all(v > 0 for v in propers.values()):
-        return PairClass("neutral", full, Fraction(0))
+        return verdict("neutral", full, 0)
     # report the inequality that broke the best remaining candidate
     if whole is not None and whole > 0:
         bad = min(propers, key=lambda w: (propers[w], w))
-        return PairClass("none", bad, propers[bad])
+        return verdict("none", bad, propers[bad])
     bad = max(f_gk, key=lambda w: (f_gk[w], w))
-    return PairClass("none", bad, f_gk[bad])
+    return verdict("none", bad, f_gk[bad])
 
 
 def is_strictly_balanced_pair(pair: RootedPair, cap: int | None = None) -> bool:
@@ -219,7 +227,8 @@ def is_strictly_balanced_pair(pair: RootedPair, cap: int | None = None) -> bool:
     for w, inside in _intermediate_sets(pair, cap):
         if len(w) in (pair.roots, full_size):
             continue
-        if Fraction(inside - e_h, len(w) - pair.roots) >= rho:
+        # rho(K, H) >= rho, cross-multiplied
+        if (inside - e_h) * rho.denominator >= rho.numerator * (len(w) - pair.roots):
             return False
     return True
 

@@ -8,8 +8,7 @@ directions.
 
 The optimal solver memoizes on the *set* of chosen pairs rather than the
 ordered tuples, since the win condition only depends on the
-correspondence.  ``solve_unmemoized`` keeps the raw-tuple recursion as a
-cross-check oracle.
+correspondence.
 """
 from __future__ import annotations
 
@@ -131,35 +130,6 @@ def solve(g1: Hypergraph, g2: Hypergraph, k: int,
         raise ValueError("k must be nonnegative")
     _check_budget(g1, g2, k, budget)
     return DUPLICATOR if _wins(g1, g2, frozenset(), k, {}) else SPOILER
-
-
-def solve_unmemoized(g1: Hypergraph, g2: Hypergraph, k: int,
-                     budget: Optional[int] = None) -> str:
-    """Reference solver on raw ordered tuples, no memo table."""
-    if g1.s != g2.s:
-        raise ValueError("boards must share the same uniformity")
-    _check_budget(g1, g2, k, budget)
-
-    def rec(chosen1: tuple, chosen2: tuple, rounds_left: int) -> bool:
-        if rounds_left == 0:
-            return True
-        pairs = tuple(zip(chosen1, chosen2))
-        for side in (1, 2):
-            ga, gb = (g1, g2) if side == 1 else (g2, g1)
-            for x in range(ga.n):
-                ok = False
-                for y in range(gb.n):
-                    a, b = (x, y) if side == 1 else (y, x)
-                    if not extends_partial_iso(g1, g2, pairs, a, b):
-                        continue
-                    if rec(chosen1 + (a,), chosen2 + (b,), rounds_left - 1):
-                        ok = True
-                        break
-                if not ok:
-                    return False
-        return True
-
-    return DUPLICATOR if rec((), (), k) else SPOILER
 
 
 def mirror_strategy(pos: GamePosition, side: int, vertex: int) -> int:

@@ -156,44 +156,34 @@ def density(g: Hypergraph) -> Fraction:
     return Fraction(g.e, g.n)
 
 
-def _denser_subset(g: Hypergraph, q: Fraction, forbidden=frozenset(), allow_ties=False):
-    """Vertex set W (nonempty, avoiding `forbidden`) with rho(W) > q, or None.
+def _density_flow(g: Hypergraph, q: Fraction) -> tuple[FlowNetwork, bool]:
+    """Max-flow on the densest-subset network at q = a/b (Goldberg 1984).
 
-    With allow_ties, rho(W) >= q counts.  One integer min-cut either way.
+    Node 0 is the source, 1 the sink, 2 + i edge i and 2 + e(G) + x
+    vertex x: source -> edge with capacity b, edge -> its vertices
+    unbounded, vertex -> sink with capacity a.  Cutting off vertex set W
+    costs b * (e(G) - e(W)) + a * |W|, so the flow falls short of
+    b * e(G) iff some nonempty W has e(W)/|W| > q.  Returns the network
+    after the flow and whether it fell short.
     """
-    verts = [x for x in range(g.n) if x not in forbidden]
-    edges = [e for e in g.edges if forbidden.isdisjoint(e)]
-    if not edges:
-        return None
     a, b = q.numerator, q.denominator
-    if allow_ties:
-        m = g.n + 1
-        cap_edge, cap_vertex = m * b, m * a - 1
-    else:
-        cap_edge, cap_vertex = b, a
-    src, snk = 0, 1
-    net = FlowNetwork(2 + len(edges) + len(verts))
-    vnode = {x: 2 + len(edges) + i for i, x in enumerate(verts)}
-    inf = cap_edge * len(edges) + cap_vertex * len(verts) + 1
-    for i, e in enumerate(edges):
-        net.add_edge(src, 2 + i, cap_edge)
+    net = FlowNetwork(2 + g.e + g.n)
+    vnode = 2 + g.e
+    inf = b * g.e + a * g.n + 1
+    for i, e in enumerate(g.edges):
+        net.add_edge(0, 2 + i, b)
         for x in e:
-            net.add_edge(2 + i, vnode[x], inf)
-    for x in verts:
-        net.add_edge(vnode[x], snk, cap_vertex)
-    flow = net.max_flow(src, snk)
-    if flow >= cap_edge * len(edges):
-        return None
-    side = net.source_side(src)
-    witness = frozenset(x for x in verts if vnode[x] in side)
-    return witness or None
+            net.add_edge(2 + i, vnode + x, inf)
+    for x in range(g.n):
+        net.add_edge(vnode + x, 1, a)
+    return net, net.max_flow(0, 1) < b * g.e
 
 
 def max_density(g: Hypergraph) -> tuple[Fraction, tuple[int, ...]]:
     """Max of e(W)/|W| over nonempty W, with a maximizing witness.
 
-    Exact: repeatedly asks a min-cut oracle for a strictly denser subset
-    and re-measures the returned witness with integer arithmetic.
+    Exact: repeatedly takes a strictly denser subset from the source side
+    of a minimum cut and re-measures it with integer arithmetic.
     """
     if g.n == 0:
         raise ValueError("max_density undefined on the empty vertex set")
@@ -202,25 +192,36 @@ def max_density(g: Hypergraph) -> tuple[Fraction, tuple[int, ...]]:
     best = density(g)
     witness = tuple(range(g.n))
     while True:
-        w = _denser_subset(g, best)
-        if w is None:
+        net, short = _density_flow(g, best)
+        if not short:
             return best, witness
+        side = net.reachable(0)
+        w = tuple(x for x in range(g.n) if 2 + g.e + x in side)
         got = Fraction(g.edges_inside(w), len(w))
         assert got > best, "min-cut oracle returned a non-improving subset"
-        best, witness = got, tuple(sorted(w))
+        best, witness = got, w
 
 
 def is_strictly_balanced(g: Hypergraph) -> bool:
-    """True iff every proper nonempty W has e(W)/|W| < e(G)/v(G)."""
+    """True iff every proper nonempty W has e(W)/|W| < e(G)/v(G).
+
+    One max-flow at q = rho(G).  If it falls short, some W is denser.
+    Otherwise W = {} and W = V are both minimum cuts, so every source and
+    sink arc is saturated, and the minimum cuts are exactly the closed
+    node sets of the residual graph (Picard & Queyranne 1980).  A proper
+    nonempty closed set of edge and vertex nodes is a proper W with
+    e(W)/|W| = rho(G); there is none iff those nodes are strongly connected.
+    """
     if g.e == 0:
         raise ValueError("strict balance undefined without edges")
-    rho = density(g)
-    # any proper subset avoids some vertex, so one tie-tolerant min-cut
-    # query per excluded vertex covers them all
-    for x in range(g.n):
-        if _denser_subset(g, rho, forbidden=frozenset([x]), allow_ties=True):
-            return False
-    return True
+    net, short = _density_flow(g, density(g))
+    if short:
+        return False
+    # s has no residual arc out and t none in, so paths through them
+    # connect nothing extra among the middle nodes
+    middle = range(2, 2 + g.e + g.n)
+    return (net.reachable(2).issuperset(middle)
+            and net.reachable(2, backward=True).issuperset(middle))
 
 
 def _matching_order(g: Hypergraph) -> list[int]:

@@ -332,42 +332,6 @@ def _eval_bound(g, body, env, var, value, budget) -> bool:
             env[var] = shadowed
 
 
-def evaluate_naive(g: Hypergraph, f: Formula, assignment: dict[str, int] | None = None) -> bool:
-    """Reference evaluator: no short circuits, fresh environment copies.
-
-    Deliberately different mechanics from evaluate() so the two can serve
-    as cross-checking oracles.  Exponential; tiny inputs only.
-    """
-    env = dict(assignment or {})
-
-    def go(node: Formula, env: dict[str, int]) -> bool:
-        if isinstance(node, Equal):
-            return env[node.left] == env[node.right]
-        if isinstance(node, EdgeAtom):
-            values = [env[t] for t in node.terms]
-            return len(set(values)) == g.s and g.has_edge(values)
-        if isinstance(node, Not):
-            return not go(node.body, env)
-        if isinstance(node, And):
-            results = [go(p, env) for p in node.parts]
-            return sum(results) == len(results)
-        if isinstance(node, Or):
-            results = [go(p, env) for p in node.parts]
-            return sum(results) > 0
-        if isinstance(node, Implies):
-            results = [go(node.left, env), go(node.right, env)]
-            return (not results[0]) or results[1]
-        if isinstance(node, Exists):
-            results = [go(node.body, {**env, node.var: x}) for x in range(g.n)]
-            return sum(results) > 0
-        if isinstance(node, Forall):
-            results = [go(node.body, {**env, node.var: x}) for x in range(g.n)]
-            return sum(results) == len(results)
-        raise TypeError(f"not a formula: {node!r}")
-
-    return go(f, env)
-
-
 class _Gensym:
     """Deterministic fresh variable names x3, x4, ... in creation order."""
 

@@ -59,13 +59,20 @@ class FlowNetwork:
                     break
                 flow += pushed
 
-    def source_side(self, s: int) -> set[int]:
-        """Nodes reachable from s in the residual graph (the min-cut side)."""
-        seen = {s}
-        queue = deque([s])
+    def reachable(self, start: int, backward: bool = False) -> set[int]:
+        """Nodes reachable from start in the residual graph.
+
+        From s that is the source side of a minimum cut.  With backward,
+        the nodes from which start is reachable instead.
+        """
+        adj = self.adj
+        seen = {start}
+        queue = deque([start])
         while queue:
             u = queue.popleft()
-            for v, cap, _ in self.adj[u]:
+            for v, cap, rev in adj[u]:
+                if backward:
+                    cap = adj[v][rev][1]  # residual capacity of the arc v -> u
                 if cap > 0 and v not in seen:
                     seen.add(v)
                     queue.append(v)

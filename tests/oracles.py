@@ -8,8 +8,16 @@ code against these on small instances.
 import itertools
 import math
 from fractions import Fraction
+from itertools import combinations
+from typing import Optional
 
+from hyperspectra.errors import (CapExceeded, DegeneratePair, DEFAULT_PAIR_CAP,
+                                 enum_cap)
+from hyperspectra.extensions import PairClass, RootedPair, pair_density
+from hyperspectra.game import DUPLICATOR, SPOILER, _check_budget, extends_partial_iso
 from hyperspectra.hypergraph import Hypergraph
+from hyperspectra.logic import (And, EdgeAtom, Equal, Exists, Forall, Formula,
+                                Implies, Not, Or)
 
 
 def brute_max_density(g: Hypergraph) -> Fraction:
@@ -20,6 +28,18 @@ def brute_max_density(g: Hypergraph) -> Fraction:
             e = sum(1 for f in g.edges if inside.issuperset(f))
             best = max(best, Fraction(e, size))
     return best
+
+
+def brute_is_strictly_balanced(g: Hypergraph) -> bool:
+    """Every proper nonempty vertex set is strictly sparser than G."""
+    rho = Fraction(g.e, g.n)
+    for size in range(1, g.n):
+        for subset in itertools.combinations(range(g.n), size):
+            inside = set(subset)
+            e = sum(1 for f in g.edges if inside.issuperset(f))
+            if Fraction(e, size) >= rho:
+                return False
+    return True
 
 
 def brute_embedding_count(host: Hypergraph, pattern: Hypergraph) -> int:
@@ -324,3 +344,160 @@ def moment_bounds(w: Hypergraph, n: int, overlaps: dict[tuple, int]):
     spread = sum(emb * n ** float(alpha * len(f) - len(set().union(*f)))
                  for f, emb in overlaps.items()) / aut
     return mu / (mu + spread), mu
+
+
+# Rooted-pair calculus in Fraction arithmetic over every intermediate.
+
+def _brute_intermediate_sets(pair: RootedPair, cap: int | None):
+    """Vertex sets W of induced intermediates, roots <= W <= V(G).
+
+    Yields (W sorted tuple, edge count of G inside W).  The W = roots
+    entry is skipped when the induced root edges equal E(H) exactly
+    (that K would be H itself, excluded everywhere).
+    """
+    limit = enum_cap(DEFAULT_PAIR_CAP, cap)
+    if pair.v_diff > limit:
+        raise CapExceeded(
+            f"pair adds {pair.v_diff} vertices, intermediate cap is {limit}")
+    base = tuple(range(pair.roots))
+    added = pair.added_vertices
+    for size in range(len(added) + 1):
+        for extra in combinations(added, size):
+            w = base + extra
+            inside = pair.g.edges_inside(w)
+            if size == 0 and inside == len(pair.h_edges):
+                continue
+            yield w, inside
+
+
+def brute_pair_max_density(pair: RootedPair, cap: int | None = None) -> Fraction:
+    """Max of rho(K, H) over intermediates H < K <= G with added vertices."""
+    if pair.v_diff == 0:
+        raise DegeneratePair("pair adds no vertices, rho^max(G, H) undefined")
+    e_h = len(pair.h_edges)
+    best = None
+    for w, inside in _brute_intermediate_sets(pair, cap):
+        if len(w) == pair.roots:
+            continue
+        rho = Fraction(inside - e_h, len(w) - pair.roots)
+        if best is None or rho > best:
+            best = rho
+    assert best is not None
+    return best
+
+
+def brute_classify_pair(pair: RootedPair, alpha: Fraction, cap: int | None = None) -> PairClass:
+    """Safe, rigid, neutral, or none at this alpha, by exact arithmetic.
+
+    Quantifiers run over induced intermediates only: for each vertex set
+    the induced K extremizes both f_alpha(K, H) and f_alpha(G, K), so the
+    sub-edge-set choices the definitions allow can never flip an answer.
+    """
+    alpha = Fraction(alpha)
+    v_g, e_g = pair.g.n, pair.g.e
+    e_h = len(pair.h_edges)
+    full = tuple(range(v_g))
+
+    f_kh = {}   # W -> f_alpha(K_W, H), K ranging over H < K <= G
+    f_gk = {}   # W -> f_alpha(G, K_W), K ranging over H <= K < G
+    f_gk[tuple(range(pair.roots))] = (Fraction(pair.v_diff)
+                                      - alpha * Fraction(pair.e_diff))
+    for w, inside in _brute_intermediate_sets(pair, cap):
+        f_kh[w] = Fraction(len(w) - pair.roots) - alpha * (inside - e_h)
+        if w != full:
+            f_gk[w] = Fraction(v_g - len(w)) - alpha * (e_g - inside)
+
+    if f_kh and all(v > 0 for v in f_kh.values()):
+        worst = min(f_kh, key=lambda w: (f_kh[w], w))
+        return PairClass("safe", worst, f_kh[worst])
+    if all(v < 0 for v in f_gk.values()):
+        worst = max(f_gk, key=lambda w: (f_gk[w], w))
+        return PairClass("rigid", worst, f_gk[worst])
+    whole = f_kh.get(full)
+    propers = {w: v for w, v in f_kh.items() if w != full}
+    if whole == 0 and all(v > 0 for v in propers.values()):
+        return PairClass("neutral", full, Fraction(0))
+    # report the inequality that broke the best remaining candidate
+    if whole is not None and whole > 0:
+        bad = min(propers, key=lambda w: (propers[w], w))
+        return PairClass("none", bad, propers[bad])
+    bad = max(f_gk, key=lambda w: (f_gk[w], w))
+    return PairClass("none", bad, f_gk[bad])
+
+
+def brute_is_strictly_balanced_pair(pair: RootedPair, cap: int | None = None) -> bool:
+    """rho(K, H) < rho(G, H) for every proper intermediate K."""
+    rho = pair_density(pair)
+    e_h = len(pair.h_edges)
+    full_size = pair.g.n
+    for w, inside in _brute_intermediate_sets(pair, cap):
+        if len(w) in (pair.roots, full_size):
+            continue
+        if Fraction(inside - e_h, len(w) - pair.roots) >= rho:
+            return False
+    return True
+
+
+def evaluate_naive(g: Hypergraph, f: Formula, assignment: dict[str, int] | None = None) -> bool:
+    """Reference evaluator: no short circuits, fresh environment copies.
+
+    Deliberately different mechanics from evaluate() so the two can serve
+    as cross-checking oracles.  Exponential; tiny inputs only.
+    """
+    env = dict(assignment or {})
+
+    def go(node: Formula, env: dict[str, int]) -> bool:
+        if isinstance(node, Equal):
+            return env[node.left] == env[node.right]
+        if isinstance(node, EdgeAtom):
+            values = [env[t] for t in node.terms]
+            return len(set(values)) == g.s and g.has_edge(values)
+        if isinstance(node, Not):
+            return not go(node.body, env)
+        if isinstance(node, And):
+            results = [go(p, env) for p in node.parts]
+            return sum(results) == len(results)
+        if isinstance(node, Or):
+            results = [go(p, env) for p in node.parts]
+            return sum(results) > 0
+        if isinstance(node, Implies):
+            results = [go(node.left, env), go(node.right, env)]
+            return (not results[0]) or results[1]
+        if isinstance(node, Exists):
+            results = [go(node.body, {**env, node.var: x}) for x in range(g.n)]
+            return sum(results) > 0
+        if isinstance(node, Forall):
+            results = [go(node.body, {**env, node.var: x}) for x in range(g.n)]
+            return sum(results) == len(results)
+        raise TypeError(f"not a formula: {node!r}")
+
+    return go(f, env)
+
+
+def solve_unmemoized(g1: Hypergraph, g2: Hypergraph, k: int,
+                     budget: Optional[int] = None) -> str:
+    """Reference solver on raw ordered tuples, no memo table."""
+    if g1.s != g2.s:
+        raise ValueError("boards must share the same uniformity")
+    _check_budget(g1, g2, k, budget)
+
+    def rec(chosen1: tuple, chosen2: tuple, rounds_left: int) -> bool:
+        if rounds_left == 0:
+            return True
+        pairs = tuple(zip(chosen1, chosen2))
+        for side in (1, 2):
+            ga, gb = (g1, g2) if side == 1 else (g2, g1)
+            for x in range(ga.n):
+                ok = False
+                for y in range(gb.n):
+                    a, b = (x, y) if side == 1 else (y, x)
+                    if not extends_partial_iso(g1, g2, pairs, a, b):
+                        continue
+                    if rec(chosen1 + (a,), chosen2 + (b,), rounds_left - 1):
+                        ok = True
+                        break
+                if not ok:
+                    return False
+        return True
+
+    return DUPLICATOR if rec((), (), k) else SPOILER

@@ -233,6 +233,36 @@ class TestSubcommands:
         assert doc["embeddings"] == 12 and doc["copies"] == 2
         assert doc["automorphisms"] == 6
 
+    @pytest.mark.parametrize("induced", [False, True])
+    def test_count_copies_searches_once(self, files, capsys, monkeypatch, tmp_path,
+                                        induced):
+        from hyperspectra import hypergraph
+        host = tmp_path / "host.json"
+        # the loose 3-cycle plus a chord edge (0, 1, 3)
+        host.write_text(Hypergraph(3, 6, [(0, 1, 2), (2, 3, 4), (1, 4, 5),
+                                          (0, 1, 3)]).to_json())
+        calls = {"embed": 0, "aut": 0}
+        embed, aut = hypergraph._embedding_search, hypergraph._count_core_automorphisms
+
+        def counted_embed(*args, **kw):
+            calls["embed"] += 1
+            return embed(*args, **kw)
+
+        def counted_aut(*args, **kw):
+            calls["aut"] += 1
+            return aut(*args, **kw)
+
+        monkeypatch.setattr(hypergraph, "_embedding_search", counted_embed)
+        monkeypatch.setattr(hypergraph, "_count_core_automorphisms", counted_aut)
+        argv = ["count-copies", "--in", str(host), "--pattern", files.path5]
+        doc = run_json(argv + ["--induced"] if induced else argv, capsys)
+        assert calls == {"embed": 1, "aut": 1}
+        # 5 loose 2-paths, 2 of them with a third host edge inside
+        assert doc == {"schema": "hyperspectra.count-copies.v1",
+                       "embeddings": 24 if induced else 40,
+                       "copies": 3 if induced else 5,
+                       "automorphisms": 8, "induced": induced}
+
     def test_sample_round_trip(self, files, capsys, tmp_path):
         out = tmp_path / "sampled.json"
         doc = run_json(["sample", "--s", "3", "--n", "18", "--alpha", "3/2",

@@ -288,6 +288,23 @@ class TestPersistence:
         save_jsonl(path, self.cfg(), self.RECORDS[1:], append=True)
         _, back = load_jsonl(path)
         assert back == self.RECORDS
+        assert len(path.read_text().splitlines()) == 1 + len(self.RECORDS)
+
+    def test_jsonl_refuses_append_under_other_digest(self, tmp_path):
+        path = tmp_path / "trials.jsonl"
+        save_jsonl(path, self.cfg(), self.RECORDS[:1])
+        before = path.read_text()
+        other = ExperimentConfig(3, (20,),
+                                 PropertySpec("builtin", builtin="contains-edge"),
+                                 3, seed=5, p=0.5)
+        assert other.digest() != self.cfg().digest()
+        with pytest.raises(ValueError, match="digest"):
+            save_jsonl(path, other, self.RECORDS[1:], append=True)
+        assert path.read_text() == before
+        # overwriting is still allowed
+        save_jsonl(path, other, self.RECORDS[1:])
+        header, back = load_jsonl(path)
+        assert header["digest"] == other.digest() and back == self.RECORDS[1:]
 
     def test_jsonl_rejects_unknown_schema(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -188,6 +188,59 @@ class TestClassify:
                 assert classify_pair(pair, breakpoint_alpha / 2).kind == "safe"
 
 
+class TestPairOracles:
+    """The integer scans against the Fraction scans in tests/oracles.py."""
+
+    @staticmethod
+    def random_pair(rng):
+        s = rng.choice([2, 3])
+        n = rng.randint(s, 8)
+        g = oracles.random_hypergraph(rng, s, n, rng.random())
+        roots = rng.randint(0, n)
+        # H takes a random share of the root-set edges, so roots often
+        # carry edges of G that are not H-edges
+        inside = [e for e in g.edges if e[-1] < roots]
+        return RootedPair(g, roots, [e for e in inside if rng.random() < 0.5])
+
+    def test_classify_matches_fraction_oracle(self):
+        rng = random.Random(2024)
+        kinds = {}
+        non_h_roots = 0
+        for _ in range(2400):
+            pair = self.random_pair(rng)
+            non_h_roots += any(e[-1] < pair.roots and e not in pair.h_edges
+                               for e in pair.g.edges)
+            if pair.v_diff and pair.e_diff and rng.random() < 0.5:
+                alpha = Fraction(pair.v_diff, pair.e_diff)  # where neutral lives
+            else:
+                alpha = Fraction(rng.randint(0, 12), rng.randint(1, 6))
+            got = classify_pair(pair, alpha)
+            want = oracles.brute_classify_pair(pair, alpha)
+            assert (got.kind, got.witness_vertices, got.witness_value) == \
+                (want.kind, want.witness_vertices, want.witness_value), (pair, alpha)
+            assert type(got.witness_value) is Fraction
+            kinds[got.kind] = kinds.get(got.kind, 0) + 1
+        assert min(kinds.get(k, 0) for k in ("safe", "rigid", "neutral", "none")) >= 50, kinds
+        assert non_h_roots >= 200
+
+    def test_densities_match_fraction_oracle(self):
+        rng = random.Random(2025)
+        verdicts = set()
+        for _ in range(2000):
+            pair = self.random_pair(rng)
+            if pair.v_diff == 0:
+                with pytest.raises(DegeneratePair):
+                    pair_max_density(pair)
+                continue
+            got = pair_max_density(pair)
+            assert got == oracles.brute_pair_max_density(pair)
+            assert type(got) is Fraction
+            balanced = is_strictly_balanced_pair(pair)
+            assert balanced == oracles.brute_is_strictly_balanced_pair(pair)
+            verdicts.add(balanced)
+        assert verdicts == {True, False}
+
+
 class TestStrictExtensions:
     def test_complete_host(self):
         got = strict_extensions(complete(3, 5), (0, 1), VERTEX_EDGE)

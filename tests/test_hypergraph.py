@@ -122,6 +122,41 @@ class TestBalance:
         assert hits > 5
 
 
+    def test_matches_bruteforce(self):
+        rng = random.Random(11)
+        verdicts = {True: 0, False: 0}
+        for _ in range(600):
+            s = rng.choice([2, 3])
+            g = oracles.random_hypergraph(rng, s, rng.randint(s, 9), rng.random())
+            if g.e == 0:
+                continue
+            got = is_strictly_balanced(g)
+            assert got == oracles.brute_is_strictly_balanced(g), g
+            verdicts[got] += 1
+        assert min(verdicts.values()) >= 50, verdicts
+
+    @pytest.mark.parametrize("g, balanced", [
+        # disjoint copies tie with the whole at every copy
+        (Hypergraph(2, 8, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                           (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)]), False),
+        (Hypergraph(3, 10, [(0, 1, 2), (2, 3, 4), (5, 6, 7), (7, 8, 9)]), False),
+        # a cycle ties with a pendant edge hung on it (density 1 both)
+        (Hypergraph(2, 6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (4, 5)]), False),
+        # a block of density 1 and a pendant edge adding one vertex, one edge
+        (Hypergraph(3, 5, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (2, 3, 4)]),
+         False),
+        # a cycle with a chord: both sub-cycles sit at density 1 < 7/6
+        (Hypergraph(2, 6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3)]),
+         True),
+        # the same chord closing a loose 3-uniform cycle: 4/6 against 3/5
+        (Hypergraph(3, 6, [(0, 1, 2), (2, 3, 4), (0, 4, 5), (0, 2, 4)]), True),
+        (complete(3, 6), True),
+    ])
+    def test_constructed_ties(self, g, balanced):
+        assert oracles.brute_is_strictly_balanced(g) == balanced
+        assert is_strictly_balanced(g) == balanced
+
+
 class TestAutomorphisms:
     def test_single_edge(self):
         assert automorphism_count(EDGE3) == 6

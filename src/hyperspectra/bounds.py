@@ -23,8 +23,8 @@ from typing import NamedTuple, Optional
 from .errors import (CapExceeded, HypothesisViolated, NoSplit,
                      DEFAULT_ENUM_CAP, enum_cap)
 from .extensions import RootedPair, is_strictly_balanced_pair, pair_density
-from .hypergraph import (Hypergraph, automorphism_count, density,
-                         is_strictly_balanced)
+from .hypergraph import (Hypergraph, _embedding_search, _sparser, automorphism_count,
+                         density, is_strictly_balanced)
 
 
 def _require(cond: bool, message: str):
@@ -308,32 +308,13 @@ def graph_law_classification(alpha, k: int) -> str:
 # Poisson rate for copies that extend to no larger copy.
 
 def automorphism_maps(g: Hypergraph, cap: Optional[int] = None):
-    """Yield every automorphism of g as an image tuple, by backtracking."""
+    """Yield every automorphism of g as an image tuple: its embeddings
+    into itself, searched in whichever of g and its complement is sparser."""
     limit = enum_cap(DEFAULT_ENUM_CAP, cap)
     if g.n > limit:
         raise CapExceeded(f"{g.n} vertices exceed cap {limit} for map enumeration")
-    deg = [g.degree(x) for x in range(g.n)]
-    finishes = [[] for _ in range(g.n)]
-    for e in g.edges:
-        finishes[max(e)].append(e)
-    image = [-1] * g.n
-    used = [False] * g.n
-
-    def place(i: int):
-        if i == g.n:
-            yield tuple(image)
-            return
-        for y in range(g.n):
-            if used[y] or deg[y] != deg[i]:
-                continue
-            image[i] = y
-            if all(g.has_edge(image[x] for x in e) for e in finishes[i]):
-                used[y] = True
-                yield from place(i + 1)
-                used[y] = False
-        image[i] = -1
-
-    yield from place(0)
+    h = _sparser(g)
+    yield from _embedding_search(h, h, "collect")
 
 
 def root_symmetry_counts(pair: RootedPair,

@@ -54,7 +54,7 @@ from .experiments import (
     ExperimentConfig,
     PropertySpec,
     copy_count_distribution,
-    save_csv,
+    csv_text,
     sweep_alpha,
     unextendable_copy_count,
 )
@@ -137,22 +137,6 @@ def render(doc: dict, fmt: str) -> str:
         lines.append(f"{key}: "
                      f"{val if isinstance(val, str) else json.dumps(val, sort_keys=True)}")
     return "\n".join(lines) + "\n"
-
-
-def sweep_csv_text(digest: str, reports) -> str:
-    buf = io.StringIO()
-    buf.write(f"# digest: {digest}\n")
-    writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS)
-    writer.writeheader()
-    for r in reports:
-        writer.writerow({
-            "n": r.n,
-            "alpha": "" if r.alpha is None else str(Fraction(r.alpha)),
-            "p": f"{r.p:.12g}", "trials": r.trials,
-            "successes": r.successes, "estimate": f"{r.estimate:.12g}",
-            "ci_lo": f"{r.ci_lo:.12g}", "ci_hi": f"{r.ci_hi:.12g}",
-            "budget_exceeded": r.budget_exceeded})
-    return buf.getvalue()
 
 
 def load_hypergraph(path: str) -> Hypergraph:
@@ -344,7 +328,7 @@ def cmd_sweep(args):
            "property": prop.describe(), "coupled": args.coupled,
            "cells": cells, "decimal_inputs": sorted(decimals)}
     if args.format == "csv":
-        return doc, sweep_csv_text(cfg.digest(), reports)
+        return doc, csv_text(cfg.digest(), reports)
     return doc, None
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import time
@@ -22,8 +23,8 @@ from .bounds import unextendable_poisson_rate
 from .errors import BudgetExceeded, HypothesisViolated
 from .extensions import RootedPair, strict_extensions
 from . import hypergraph
-from .hypergraph import (Hypergraph, automorphism_count, contains_copy, density,
-                         is_strictly_balanced)
+from .hypergraph import (Hypergraph, _embedding_search, automorphism_count,
+                         contains_copy, density, is_strictly_balanced)
 from .logic import Formula, evaluate, parse
 from .sampling import ModelParams, p_from_alpha, sample, sample_coupled
 
@@ -385,83 +386,6 @@ def copy_count_distribution(patterns, n: int, trials: int, seed: int,
 # ---------------------------------------------------------------------------
 # Copies of the root structure that no full copy extends.
 
-def _embeddings(host: Hypergraph, pattern: Hypergraph):
-    """Yield every injective edge-preserving map as an image tuple.
-
-    Pattern edges drive the search: the first edge of a component ranges
-    over host edges, later ones only over edges incident to an already
-    placed vertex, so sparse hosts cost about e(host) per component
-    instead of n per vertex.
-    """
-    edges_left = list(pattern.edges)
-    ordered: list[tuple] = []
-    covered: set[int] = set()
-    while edges_left:
-        pick = next((e for e in edges_left if covered & set(e)), edges_left[0])
-        edges_left.remove(pick)
-        ordered.append(pick)
-        covered |= set(pick)
-    free = [v for v in range(pattern.n) if v not in covered]
-    image: dict[int, int] = {}
-    used: set[int] = set()
-
-    def landed_ok(x: int, w: int) -> bool:
-        for e in pattern.incident[x]:
-            if all(y == x or y in image for y in e):
-                landed = tuple(sorted(w if y == x else image[y] for y in e))
-                if landed not in host.edge_set:
-                    return False
-        return True
-
-    def place(idx: int):
-        if idx == len(ordered):
-            yield from place_free(0)
-            return
-        pe = ordered[idx]
-        mapped = [x for x in pe if x in image]
-        unmapped = [x for x in pe if x not in image]
-        if mapped:
-            candidates = [f for f in host.incident[image[mapped[0]]]
-                          if all(image[x] in f for x in mapped)]
-        else:
-            candidates = host.edges
-        taken = {image[x] for x in mapped}
-        for f in candidates:
-            slots = [w for w in f if w not in taken]
-            if len(slots) == len(unmapped):
-                yield from assign(unmapped, slots, idx)
-
-    def assign(unmapped: list[int], slots: list[int], idx: int):
-        if not unmapped:
-            yield from place(idx + 1)
-            return
-        x, rest = unmapped[0], unmapped[1:]
-        for w in slots:
-            if w in used or not landed_ok(x, w):
-                continue
-            image[x] = w
-            used.add(w)
-            yield from assign(rest, [u for u in slots if u != w], idx)
-            used.discard(w)
-            del image[x]
-
-    def place_free(i: int):
-        if i == len(free):
-            yield tuple(image[v] for v in range(pattern.n))
-            return
-        v = free[i]
-        for y in range(host.n):
-            if y in used:
-                continue
-            image[v] = y
-            used.add(y)
-            yield from place_free(i + 1)
-            used.discard(y)
-            del image[v]
-
-    yield from place(0)
-
-
 def count_unextendable_copies(host: Hypergraph, pair: RootedPair,
                               cap: Optional[int] = None) -> int:
     """Copies of the pair's root structure inside no strict extension.
@@ -471,7 +395,7 @@ def count_unextendable_copies(host: Hypergraph, pair: RootedPair,
     """
     h = Hypergraph(pair.g.s, pair.roots, pair.h_edges)
     status: dict = {}
-    for phi in _embeddings(host, h):
+    for phi in _embedding_search(host, h, "collect"):
         key = (frozenset(phi),
                frozenset(tuple(sorted(phi[v] for v in e)) for e in h.edges))
         if status.get(key):
@@ -593,20 +517,27 @@ def load_jsonl(path) -> tuple[dict, list[TrialRecord]]:
     return header, [_record_from_dict(json.loads(line)) for line in lines[1:]]
 
 
+def csv_text(digest: str, reports) -> str:
+    """The sweep summary: a digest comment line, then one row per cell."""
+    buf = io.StringIO()
+    buf.write(f"# digest: {digest}\n")
+    writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS)
+    writer.writeheader()
+    for r in reports:
+        writer.writerow({
+            "n": r.n,
+            "alpha": "" if r.alpha is None else str(Fraction(r.alpha)),
+            "p": f"{r.p:.12g}", "trials": r.trials,
+            "successes": r.successes, "estimate": f"{r.estimate:.12g}",
+            "ci_lo": f"{r.ci_lo:.12g}", "ci_hi": f"{r.ci_hi:.12g}",
+            "budget_exceeded": r.budget_exceeded})
+    return buf.getvalue()
+
+
 def save_csv(path, digest: str, reports):
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(f"# digest: {digest}\n")
-            writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-            writer.writeheader()
-            for r in reports:
-                writer.writerow({
-                    "n": r.n,
-                    "alpha": "" if r.alpha is None else str(Fraction(r.alpha)),
-                    "p": f"{r.p:.12g}", "trials": r.trials,
-                    "successes": r.successes, "estimate": f"{r.estimate:.12g}",
-                    "ci_lo": f"{r.ci_lo:.12g}", "ci_hi": f"{r.ci_hi:.12g}",
-                    "budget_exceeded": r.budget_exceeded})
+            fh.write(csv_text(digest, reports))
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 

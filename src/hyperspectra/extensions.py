@@ -22,7 +22,7 @@ from .errors import (
     DEFAULT_EXTENSION_CAP,
     DEFAULT_PAIR_CAP,
 )
-from .hypergraph import Edge, Hypergraph, from_json_dict
+from .hypergraph import Edge, Hypergraph, _embedding_search, from_json_dict
 
 
 @dataclass(frozen=True)
@@ -257,7 +257,6 @@ def strict_extensions(host: Hypergraph, root_tuple, pair: RootedPair,
     limit = enum_cap(DEFAULT_EXTENSION_CAP, cap)
     if pair.v_diff > limit:
         raise CapExceeded(f"pair adds {pair.v_diff} vertices, extension cap is {limit}")
-    forbidden = frozenset(forbidden) | set(root_tuple)
 
     pattern = pair.pattern_edges
     if any(e[-1] < pair.roots for e in pattern):
@@ -265,98 +264,11 @@ def strict_extensions(host: Hypergraph, root_tuple, pair: RootedPair,
     if pair.v_diff == 0:
         return [()] if not pattern else []
 
-    image = {i: x for i, x in enumerate(root_tuple)}
-    added = pair.added_vertices
-    # pattern edges drive the search: an edge with a placed vertex only
-    # ranges over host edges incident to it, a detached edge over all
-    # host edges; added vertices in no pattern edge range over everything
-    pat_incident: dict[int, list[Edge]] = {v: [] for v in added}
-    for e in pattern:
-        for x in e:
-            if x >= pair.roots:
-                pat_incident[x].append(e)
-    edges_left = list(pattern)
-    ordered: list[Edge] = []
-    covered: set[int] = set(range(pair.roots))
-    while edges_left:
-        pick = next((e for e in edges_left if covered & set(e)), edges_left[0])
-        edges_left.remove(pick)
-        ordered.append(pick)
-        covered |= set(pick)
-    loose = [v for v in added if v not in covered]
-    used: set[int] = set()
-    out: list[tuple[int, ...]] = []
-
-    def landed_ok(x: int, w: int) -> bool:
-        for e in pat_incident[x]:
-            if all(y == x or y in image for y in e):
-                landed = tuple(sorted(w if y == x else image[y] for y in e))
-                if landed not in host.edge_set:
-                    return False
-        return True
-
-    def place(idx: int):
-        if idx == len(ordered):
-            place_loose(0)
-            return
-        pe = ordered[idx]
-        mapped = [x for x in pe if x in image]
-        unmapped = [x for x in pe if x not in image]
-        if mapped:
-            candidates = [f for f in host.incident[image[mapped[0]]]
-                          if all(image[x] in f for x in mapped)]
-        else:
-            candidates = host.edges
-        taken = {image[x] for x in mapped}
-        for f in candidates:
-            slots = [w for w in f if w not in taken]
-            if len(slots) == len(unmapped):
-                assign(unmapped, slots, idx)
-
-    def assign(unmapped: list[int], slots: list[int], idx: int):
-        if not unmapped:
-            place(idx + 1)
-            return
-        x, rest = unmapped[0], unmapped[1:]
-        for w in slots:
-            if w in forbidden or w in used or not landed_ok(x, w):
-                continue
-            image[x] = w
-            used.add(w)
-            assign(rest, [u for u in slots if u != w], idx)
-            used.discard(w)
-            del image[x]
-
-    def place_loose(i: int):
-        if i == len(loose):
-            if _no_spurious_edges(host, image, pair):
-                out.append(tuple(image[v] for v in added))
-            return
-        x = loose[i]
-        for w in range(host.n):
-            if w in forbidden or w in used:
-                continue
-            image[x] = w
-            used.add(w)
-            place_loose(i + 1)
-            used.discard(w)
-            del image[x]
-
-    place(0)
+    placements = _embedding_search(host, Hypergraph(host.s, pair.g.n, pattern), "collect",
+                                   strict=True, roots=root_tuple, forbidden=forbidden)
+    out = [t[pair.roots:] for t in placements]
     out.sort()
     return out
-
-
-def _no_spurious_edges(host: Hypergraph, image: dict[int, int], pair: RootedPair) -> bool:
-    combined = sorted(image.values())
-    root_images = {image[i] for i in range(pair.roots)}
-    landed = {tuple(sorted(image[x] for x in e)) for e in pair.pattern_edges}
-    for f in combinations(combined, host.s):
-        if set(f) <= root_images:
-            continue
-        if (f in host.edge_set) != (f in landed):
-            return False
-    return True
 
 
 def is_kt_maximal(host: Hypergraph, gtilde_vertices, htilde_vertices,

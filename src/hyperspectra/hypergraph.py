@@ -224,116 +224,55 @@ def is_strictly_balanced(g: Hypergraph) -> bool:
             and net.reachable(2, backward=True).issuperset(middle))
 
 
-def _matching_order(g: Hypergraph) -> list[int]:
-    """Vertex order for backtracking: connected-first, rare degrees early."""
-    degs = [g.degree(x) for x in range(g.n)]
-    remaining = set(range(g.n))
-    order: list[int] = []
-    frontier: set[int] = set()
-    while remaining:
-        if frontier:
-            nxt = max(frontier, key=lambda x: (degs[x], -x))
-        else:
-            nxt = max(remaining, key=lambda x: (degs[x], -x))
-        order.append(nxt)
-        remaining.discard(nxt)
-        frontier.discard(nxt)
-        frontier |= g.neighbors[nxt] & remaining
-    return order
-
-
 def _complement(g: Hypergraph) -> Hypergraph:
     full = combinations(range(g.n), g.s)
     return Hypergraph(g.s, g.n, [e for e in full if e not in g.edge_set])
 
 
+def _sparser(g: Hypergraph) -> Hypergraph:
+    """g or its complement, whichever has fewer edges: same automorphisms."""
+    return _complement(g) if g.e > comb(g.n, g.s) // 2 else g
+
+
 def automorphism_count(g: Hypergraph, cap: int | None = None) -> int:
-    """Number of edge-preserving vertex permutations, by pruned search."""
+    """Number of edge-preserving vertex permutations, by pruned search.
+
+    Isolated vertices permute freely.  The core's automorphisms are its
+    embeddings into itself: an injective edge-preserving self-map of a
+    finite hypergraph is onto its vertices and its edges.
+    """
     limit = enum_cap(DEFAULT_ENUM_CAP, cap)
     if g.n > limit:
         raise CapExceeded(f"automorphism search on {g.n} vertices exceeds cap {limit}")
-    isolated = [x for x in range(g.n) if g.degree(x) == 0]
     core_verts = [x for x in range(g.n) if g.degree(x) > 0]
     if not core_verts:
         return factorial(g.n)
-    core = g.induced(core_verts)
-    if core.e > comb(core.n, core.s) // 2:
-        core = _complement(core)  # same symmetry group, sparser search
-    return factorial(len(isolated)) * _count_core_automorphisms(core)
-
-
-def _count_core_automorphisms(g: Hypergraph) -> int:
-    order = _matching_order(g)
-    degs = [g.degree(x) for x in range(g.n)]
-    edge_set = g.edge_set
-    placed_pos = {}
-    image = {}
-    used = set()
-    s = g.s
-
-    # edges checked as soon as their last source vertex is placed
-    edges_ready: list[list[Edge]] = [[] for _ in range(g.n)]
-    pos_of = {x: i for i, x in enumerate(order)}
-    for e in g.edges:
-        edges_ready[max(pos_of[x] for x in e)].append(e)
-
-    def extend(i: int) -> int:
-        if i == len(order):
-            return 1
-        u = order[i]
-        total = 0
-        for w in range(g.n):
-            if w in used or degs[w] != degs[u]:
-                continue
-            ok = True
-            for e in edges_ready[i]:
-                mapped = tuple(sorted(image[x] if x != u else w for x in e))
-                if mapped not in edge_set:
-                    ok = False
-                    break
-            if ok:
-                # reverse direction: edges at w fully inside the image must
-                # pull back to edges, otherwise the leaf is not a bijection
-                # on edge sets
-                inv = {img: src for src, img in image.items()}
-                inv[w] = u
-                for f in g.incident[w]:
-                    if all(y in inv for y in f):
-                        if tuple(sorted(inv[y] for y in f)) not in edge_set:
-                            ok = False
-                            break
-            if ok:
-                image[u] = w
-                used.add(w)
-                total += extend(i + 1)
-                used.discard(w)
-                del image[u]
-        return total
-
-    return extend(0)
+    core = _sparser(g.induced(core_verts))
+    return factorial(g.n - len(core_verts)) * _embedding_search(core, core, "count")
 
 
 class _SearchPlan(NamedTuple):
     """The pattern's half of an embedding search; see `_search_plan`."""
 
     degrees: tuple[int, ...]
-    isolated: int  # vertices of degree 0
+    loose: tuple[int, ...]  # vertices in no edge and not roots, placed last
     profiles: tuple[tuple[int, ...], ...]  # minimal edge profiles, for peeling
     # per step: (placed vertices of the edge, new vertices, edges to check
     # as each new vertex lands, the edge's profile if it starts a component)
     steps: tuple[tuple, ...]
-    connected: bool
+    connected: bool  # one component and no roots
 
 
 @lru_cache(maxsize=256)
-def _search_plan(pattern: Hypergraph) -> _SearchPlan:
+def _search_plan(pattern: Hypergraph, roots: int = 0) -> _SearchPlan:
     """Edge order, checks and degree profiles, computed once per pattern.
 
-    An edge's profile is the sorted degrees of its vertices.  Each
-    component starts at its most degree-constrained edge; after that the
-    edge with the most vertices already placed goes next.  An edge whose
-    vertices all land before its turn is checked when its last vertex
-    lands and gets no step of its own.
+    Vertices 0..roots-1 count as placed from the start.  An edge's
+    profile is the sorted degrees of its vertices.  Each component starts
+    at its most degree-constrained edge; after that the edge with the
+    most vertices already placed goes next.  An edge whose vertices all
+    land before its turn is checked when its last vertex lands and gets
+    no step of its own.
     """
     deg = tuple(pattern.degree(x) for x in range(pattern.n))
     profile = {e: tuple(sorted(deg[x] for x in e)) for e in pattern.edges}
@@ -341,8 +280,8 @@ def _search_plan(pattern: Hypergraph) -> _SearchPlan:
     def tightness(e: Edge):
         return (sum(profile[e]), profile[e])
 
-    placed: set[int] = set()
-    left = list(pattern.edges)
+    placed = set(range(roots))
+    left = [e for e in pattern.edges if not placed.issuperset(e)]
     steps = []
     while left:
         touching = [e for e in left if not placed.isdisjoint(e)]
@@ -362,8 +301,9 @@ def _search_plan(pattern: Hypergraph) -> _SearchPlan:
     profiles = set(profile.values())
     minimal = tuple(sorted(p for p in profiles
                            if not any(q != p and all(map(ge, p, q)) for q in profiles)))
-    return _SearchPlan(deg, pattern.n - len(placed), minimal,
-                       tuple(steps), sum(1 for st in steps if not st[0]) == 1)
+    starts = sum(1 for st in steps if not st[0])
+    return _SearchPlan(deg, tuple(x for x in range(pattern.n) if x not in placed),
+                       minimal, tuple(steps), roots == 0 and starts == 1)
 
 
 def _peel(edges, profiles) -> list[Edge]:
@@ -410,65 +350,103 @@ def _incidence(edges) -> tuple[dict[int, int], dict[int, list[Edge]]]:
     return deg, inc
 
 
-def _embedding_search(host: Hypergraph, pattern: Hypergraph, *, count_all: bool,
-                      induced: bool = False) -> int:
-    """Backtracking count of injective edge-preserving maps pattern -> host.
+def _embedding_search(host: Hypergraph, pattern: Hypergraph, mode: str, *,
+                      strict: bool = False, roots=(), forbidden=()):
+    """The one backtracking search for injective edge-preserving maps
+    pattern -> host.
 
-    With count_all False, stops at the first embedding (returns 0/1).
-    Non-induced searches first peel the host (`_peel`); induced ones keep
-    every host edge.  A connected pattern then needs a host component with
-    enough edges and vertices.
+    `mode` "exists" stops at the first map and returns 0 or 1, "count"
+    returns how many maps there are, and "collect" returns them as image
+    tuples indexed by pattern vertex.  Pattern vertex i < len(roots) is
+    pre-mapped to roots[i]; the other images avoid the roots and
+    `forbidden`.  Pattern edges inside the roots are not checked, and the
+    caller must leave none there: their degrees would misguide peeling.
+    With `strict`, every host edge through a newly landed image that lies
+    inside the image must be the image of a pattern edge; with no roots
+    that is the induced condition.
+
+    The host is first peeled (`_peel`); candidates come from what
+    survives, the strict rule reads every host edge.  A connected pattern
+    without roots then needs a host component with enough edges and
+    vertices.
     """
     if pattern.s != host.s:
         raise ValueError("pattern and host must share the same uniformity")
-    plan = _search_plan(pattern)
+    plan = _search_plan(pattern, len(roots))
+    stop = mode == "exists"
+    out = [] if mode == "collect" else None
+
+    def result(total: int):
+        if out is not None:
+            return out
+        return min(total, 1) if stop else total
+
     if host.n < pattern.n:
-        return 0
+        return result(0)
+    image = [0] * pattern.n
+    image[:len(roots)] = roots
+    forbidden = set(forbidden).difference(roots)
+    # host edges through a forbidden vertex can hold no image edge
+    clear = [f for f in host.edges if forbidden.isdisjoint(f)] if forbidden else host.edges
+    used = forbidden.union(roots)  # never landed on: images and forbidden
+    if strict:
+        full = _incidence(clear)[1]
 
-    def isolated_placements(core_image: set[int]) -> int:
-        """Ways to drop the degree-0 pattern vertices into the host.
+    def closed(w: int, expect: int) -> bool:
+        """Strict rule at w.  The forward checks found `expect` distinct
+        image edges through w; no other host edge through w may lie
+        inside the image, so the counts must agree."""
+        return sum(1 for f in full.get(w, ()) if used.issuperset(f)) == expect
 
-        Non-induced embeddings never care where they land; induced ones
-        must keep the full image edge count at exactly pattern.e.
-        """
-        k = plan.isolated
-        if not induced:
-            return perm(host.n - len(core_image), k)
-        if k == 0:
-            inside = sum(1 for f in host.edges if core_image.issuperset(f))
-            return 1 if inside == pattern.e else 0
-        avail = [w for w in range(host.n) if w not in core_image]
-        good = 0
-        for extra in combinations(avail, k):
-            img = core_image | set(extra)
-            inside = sum(1 for f in host.edges if img.issuperset(f))
-            if inside == pattern.e:
-                good += 1
-        return good * factorial(k)
+    loose = plan.loose
+    one_by_one = strict or out is not None
+
+    def finish(k: int) -> int:
+        """Place the loose pattern vertices on free host vertices.  Unless
+        the strict rule or collect mode looks at each placement, only
+        their number matters."""
+        if not one_by_one:
+            return perm(host.n - len(used), len(loose))
+        if k == len(loose):
+            if out is not None:
+                out.append(tuple(image))
+            return 1
+        total = 0
+        for w in range(host.n):
+            if w in used:
+                continue
+            used.add(w)
+            if not strict or closed(w, 0):
+                image[loose[k]] = w
+                total += finish(k + 1)
+            used.discard(w)
+            if total and stop:
+                break
+        return total
 
     if not plan.steps:
-        total = isolated_placements(set())
-        return total if count_all else (1 if total else 0)
-
-    edges = host.edges if induced else _peel(host.edges, plan.profiles)
+        return result(finish(0))
+    edges = _peel(clear, plan.profiles)
     if len(edges) < pattern.e:
-        return 0
-    core = pattern.n - plan.isolated
-    if plan.connected and not _has_component_at_least(edges, pattern.e, core):
-        return 0
+        return result(0)
+    if plan.connected and not _has_component_at_least(edges, pattern.e,
+                                                      pattern.n - len(loose)):
+        return result(0)
     deg, inc = _incidence(edges)
+    # a root image left without edges by peeling offers no candidates
+    for w in roots:
+        deg.setdefault(w, 0)
+        inc.setdefault(w, [])
     # a component's first edge only goes where the host degrees allow it
-    roots = {}
+    starts = {}
     for i, (_, _, _, prof) in enumerate(plan.steps):
         if prof is not None:
-            roots[i] = [f for f in edges if all(map(ge, sorted([deg[x] for x in f]), prof))]
+            starts[i] = [f for f in edges if all(map(ge, sorted([deg[x] for x in f]), prof))]
     steps, pat_deg, edge_set = plan.steps, plan.degrees, host.edge_set
-    image = [0] * pattern.n
-    used: set[int] = set()
 
     def place(i: int) -> int:
         if i == len(steps):
-            return isolated_placements(used)
+            return finish(0)
         known = steps[i][0]
         if known:
             imgs = [image[x] for x in known]
@@ -476,11 +454,11 @@ def _embedding_search(host: Hypergraph, pattern: Hypergraph, *, count_all: bool,
             candidates = [f for f in inc[anchor] if all(w in f for w in imgs)]
         else:
             imgs = []
-            candidates = roots[i]
+            candidates = starts[i]
         total = 0
         for f in candidates:
             total += assign(i, 0, [w for w in f if w not in imgs])
-            if total and not count_all:
+            if total and stop:
                 return total
         return total
 
@@ -498,16 +476,15 @@ def _embedding_search(host: Hypergraph, pattern: Hypergraph, *, count_all: bool,
             if not all(tuple(sorted(image[y] for y in e)) in edge_set for e in checks):
                 continue
             used.add(w)
-            total += assign(i, j + 1, [u for u in slots if u != w])
+            # the step's own edge is complete once its last new vertex lands
+            if not strict or closed(w, len(checks) + (j + 1 == len(new))):
+                total += assign(i, j + 1, [u for u in slots if u != w])
             used.discard(w)
-            if total and not count_all:
+            if total and stop:
                 return total
         return total
 
-    core_count = place(0)
-    if not count_all:
-        return 1 if core_count else 0
-    return core_count
+    return result(place(0))
 
 
 def count_embeddings(host: Hypergraph, pattern: Hypergraph, cap: int | None = None,
@@ -515,7 +492,7 @@ def count_embeddings(host: Hypergraph, pattern: Hypergraph, cap: int | None = No
     limit = enum_cap(DEFAULT_ENUM_CAP, cap)
     if pattern.n > limit:
         raise CapExceeded(f"pattern on {pattern.n} vertices exceeds cap {limit}")
-    return _embedding_search(host, pattern, count_all=True, induced=induced)
+    return _embedding_search(host, pattern, "count", strict=induced)
 
 
 def count_copies(host: Hypergraph, pattern: Hypergraph, cap: int | None = None,
@@ -537,7 +514,7 @@ def contains_copy(host: Hypergraph, pattern: Hypergraph) -> bool:
         return host.n >= pattern.n
     if pattern.e > host.e or pattern.n > host.n:
         return False
-    return _embedding_search(host, pattern, count_all=False) > 0
+    return _embedding_search(host, pattern, "exists") > 0
 
 
 def _has_component_at_least(edges, min_edges: int, min_verts: int) -> bool:
@@ -577,7 +554,7 @@ def is_isomorphic(g1: Hypergraph, g2: Hypergraph, cap: int | None = None) -> boo
     if g1.n > limit:
         raise CapExceeded(f"isomorphism search on {g1.n} vertices exceeds cap {limit}")
     # injective edge-preserving map with equal edge counts is onto the edges
-    return _embedding_search(g2, g1, count_all=False) > 0
+    return _embedding_search(g2, g1, "exists") > 0
 
 
 def distance(g: Hypergraph, x: int, y: int) -> int | None:

@@ -236,6 +236,21 @@ def brute_strict_extensions(host, roots, pair, forbidden=()):
     return sorted(out)
 
 
+def brute_unextendable_copies(host, pair) -> int:
+    """Permutation-scan reference for `count_unextendable_copies`: copies
+    of the root structure (image vertices and image H-edges) over none of
+    whose embeddings the pair has a strict extension."""
+    extendable: dict = {}
+    for phi in itertools.permutations(range(host.n), pair.roots):
+        landed = frozenset(tuple(sorted(phi[x] for x in e)) for e in pair.h_edges)
+        if not landed <= host.edge_set:
+            continue
+        key = (frozenset(phi), landed)
+        if not extendable.get(key):
+            extendable[key] = bool(brute_strict_extensions(host, phi, pair))
+    return sum(1 for ok in extendable.values() if not ok)
+
+
 def brute_kt_maximal(host, gtilde, htilde, k_pair):
     """Quantifier-by-quantifier transcription of (K, T)-maximality."""
     g_set = frozenset(gtilde)

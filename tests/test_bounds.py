@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from hyperspectra.bounds import (
+    automorphism_maps,
     bounds_report,
     build_dense_witness,
     build_two_cycle_witness,
@@ -293,6 +295,23 @@ class TestPoissonRate:
             _, a1, a2 = root_symmetry_counts(pair)
             assert (a1, a2) == brute_symmetry(pair)
             checked += 1
+
+
+class TestAutomorphismMaps:
+    def test_matches_bruteforce(self):
+        rng = random.Random(73)
+        dense = isolated = 0
+        for i in range(80):
+            s = 2 + i % 2
+            g = oracles.random_hypergraph(rng, s, rng.randint(0, 7),
+                                          rng.choice([0.15, 0.4, 0.8]))
+            maps = list(automorphism_maps(g))
+            assert len(maps) == len(set(maps))
+            assert set(maps) == set(oracles.brute_automorphisms(g))
+            # dense ones are searched through their complement
+            dense += g.e > comb(g.n, s) // 2
+            isolated += any(g.degree(x) == 0 for x in range(g.n))
+        assert dense >= 15 and isolated >= 15
 
 
 class TestReportDispatch:

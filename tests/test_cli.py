@@ -239,24 +239,21 @@ class TestSubcommands:
         from hyperspectra import hypergraph
         host = tmp_path / "host.json"
         # the loose 3-cycle plus a chord edge (0, 1, 3)
-        host.write_text(Hypergraph(3, 6, [(0, 1, 2), (2, 3, 4), (1, 4, 5),
-                                          (0, 1, 3)]).to_json())
-        calls = {"embed": 0, "aut": 0}
-        embed, aut = hypergraph._embedding_search, hypergraph._count_core_automorphisms
+        graph = Hypergraph(3, 6, [(0, 1, 2), (2, 3, 4), (1, 4, 5), (0, 1, 3)])
+        host.write_text(graph.to_json())
+        runs = []
+        embed = hypergraph._embedding_search
 
-        def counted_embed(*args, **kw):
-            calls["embed"] += 1
-            return embed(*args, **kw)
-
-        def counted_aut(*args, **kw):
-            calls["aut"] += 1
-            return aut(*args, **kw)
+        def counted_embed(searched_host, pattern, *args, **kw):
+            runs.append((searched_host, pattern))
+            return embed(searched_host, pattern, *args, **kw)
 
         monkeypatch.setattr(hypergraph, "_embedding_search", counted_embed)
-        monkeypatch.setattr(hypergraph, "_count_core_automorphisms", counted_aut)
         argv = ["count-copies", "--in", str(host), "--pattern", files.path5]
         doc = run_json(argv + ["--induced"] if induced else argv, capsys)
-        assert calls == {"embed": 1, "aut": 1}
+        # one search into the host, one core -> core for the automorphisms
+        path = Hypergraph(3, 5, [(0, 1, 2), (2, 3, 4)])
+        assert runs == [(graph, path), (path, path)]
         # 5 loose 2-paths, 2 of them with a third host edge inside
         assert doc == {"schema": "hyperspectra.count-copies.v1",
                        "embeddings": 24 if induced else 40,

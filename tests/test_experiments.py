@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,9 @@ from hyperspectra.experiments import (
     wilson_interval,
 )
 from hyperspectra.extensions import RootedPair
-from hyperspectra.hypergraph import Hypergraph
+from hyperspectra.hypergraph import Hypergraph, count_copies
+
+import oracles
 
 LOOSE_PATH = Hypergraph(3, 5, [(0, 1, 2), (2, 3, 4)])
 TRIANGLE = Hypergraph(2, 3, [(0, 1), (1, 2), (0, 2)])
@@ -235,6 +238,32 @@ class TestUnextendable:
         assert count_unextendable_copies(sharing, UNEXT_PAIR) == 2
         triple = Hypergraph(3, 9, [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
         assert count_unextendable_copies(triple, UNEXT_PAIR) == 0
+
+    def test_matches_bruteforce(self):
+        # root structures with and without edges, pairs whose added part
+        # touches the roots or not, s = 2 and s = 3
+        pairs = [UNEXT_PAIR,
+                 RootedPair(Hypergraph(3, 5, [(0, 1, 2), (2, 3, 4)]), 3, [(0, 1, 2)]),
+                 RootedPair(Hypergraph(3, 4, [(0, 1, 2), (0, 1, 3)]), 2),
+                 RootedPair(Hypergraph(2, 4, [(0, 1), (1, 2), (2, 3), (0, 3)]), 2, [(0, 1)]),
+                 RootedPair(Hypergraph(2, 4, [(0, 2), (1, 2), (2, 3)]), 2)]
+        rng = random.Random(29)
+        unextendable = extendable = 0
+        for i in range(50):
+            pair = pairs[i % len(pairs)]
+            n = rng.randint(pair.g.n, 8)
+            host = oracles.random_hypergraph(rng, pair.g.s, n, rng.uniform(0.05, 0.3))
+            if i % 2:
+                # plant a whole copy, so that some root copies extend
+                image = rng.sample(range(n), pair.g.n)
+                planted = [tuple(image[x] for x in e) for e in pair.g.edges]
+                host = Hypergraph(host.s, n, host.edges + tuple(planted))
+            want = oracles.brute_unextendable_copies(host, pair)
+            assert count_unextendable_copies(host, pair) == want
+            copies = count_copies(host, Hypergraph(host.s, pair.roots, pair.h_edges))
+            unextendable += want > 0
+            extendable += want < copies
+        assert unextendable >= 10 and extendable >= 10
 
     def test_zero_probability(self):
         rep = unextendable_copy_count(UNEXT_PAIR, 40, 30, seed=2, p=0.0)

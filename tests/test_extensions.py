@@ -285,8 +285,9 @@ class TestStrictExtensions:
             pair = RootedPair(g, roots, [e for e in g.edges if e[-1] < roots])
             tuple_choices = list(itertools.permutations(range(host.n), roots))
             root_tuple = rng.choice(tuple_choices)
-            got = strict_extensions(host, root_tuple, pair)
-            want = oracles.brute_strict_extensions(host, root_tuple, pair)
+            forbidden = set(rng.sample(range(host.n), rng.randint(0, 2)))
+            got = strict_extensions(host, root_tuple, pair, forbidden=forbidden)
+            want = oracles.brute_strict_extensions(host, root_tuple, pair, forbidden)
             assert got == want
 
     def test_isomorphism_equivariant(self):

@@ -17,6 +17,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Union
 
 from .bounds import unextendable_poisson_rate
@@ -202,15 +203,13 @@ def _chunks(total: int, parts: int):
     return [range(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
-def _collect_cell(cfg: ExperimentConfig, n: int) -> list[TrialRecord]:
+def _map_chunks(cfg: ExperimentConfig, run, *args) -> list:
+    """run(cfg, *args, trials) per chunk of the trial range, in trial order:
+    the whole range in-process with one job, else one chunk per worker."""
     if cfg.jobs == 1:
-        return _run_cell_chunk(cfg, n, range(cfg.trials))
+        return [run(cfg, *args, range(cfg.trials))]
     with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-        parts = pool.map(_run_cell_chunk, *zip(*[
-            (cfg, n, chunk) for chunk in _chunks(cfg.trials, cfg.jobs)]))
-        records = [r for part in parts for r in part]
-    records.sort(key=lambda r: r.trial_index)
-    return records
+        return list(pool.map(partial(run, cfg, *args), _chunks(cfg.trials, cfg.jobs)))
 
 
 def _report_from_records(cfg: ExperimentConfig, n: int,
@@ -232,7 +231,7 @@ def estimate_probability(cfg: ExperimentConfig) -> EstimateReport:
     if len(cfg.n_list) != 1:
         raise ValueError("estimate_probability wants exactly one n; use sweep_alpha")
     n = cfg.n_list[0]
-    records = _collect_cell(cfg, n)
+    records = [r for part in _map_chunks(cfg, _run_cell_chunk, n) for r in part]
     if cfg.out_path:
         save_jsonl(cfg.out_path, cfg, records, append=True)
     return _report_from_records(cfg, n, records)
@@ -253,7 +252,7 @@ def sweep_alpha(cfg: ExperimentConfig, alphas=None,
     for a in alphas:
         if a <= 0:
             raise ValueError(f"grid exponent {a} must be positive")
-    checker, monotone = cfg.prop.resolve(cfg.s)
+    _, monotone = cfg.prop.resolve(cfg.s)
     if not coupled or not monotone or len(alphas) == 1:
         reports = []
         for n in cfg.n_list:
@@ -262,41 +261,45 @@ def sweep_alpha(cfg: ExperimentConfig, alphas=None,
                                        cfg.seed, alpha=a, jobs=cfg.jobs)
                 reports.append(estimate_probability(sub))
     else:
-        reports = _sweep_coupled(cfg, alphas, checker)
+        reports = _sweep_coupled(cfg, alphas)
     if cfg.out_path:
         save_csv(cfg.out_path, cfg.digest(), reports)
     return reports
 
 
-def _sweep_coupled(cfg: ExperimentConfig, alphas, checker) -> list[EstimateReport]:
+def _run_coupled_chunk(cfg: ExperimentConfig, n: int, ps, indices) -> list[list[int]]:
+    """[successes, done, budget_exceeded] per probability over one chunk."""
+    checker, _ = cfg.prop.resolve(cfg.s)
+    counts = [[0, 0, 0] for _ in ps]
+    for t in indices:
+        try:
+            gs = sample_coupled(
+                ModelParams(cfg.s, n, p=max(ps), seed=cfg.seed, trial_index=t), ps)
+        except BudgetExceeded:
+            for c in counts:
+                c[2] += 1
+            continue
+        for c, g in zip(counts, gs):
+            try:
+                c[0] += bool(checker(g))
+                c[1] += 1
+            except BudgetExceeded:
+                c[2] += 1
+    return counts
+
+
+def _sweep_coupled(cfg: ExperimentConfig, alphas) -> list[EstimateReport]:
     digest = cfg.digest()
     reports = []
     for n in cfg.n_list:
         ps = [p_from_alpha(n, a) for a in alphas]
-        successes = [0] * len(alphas)
-        done = [0] * len(alphas)
-        exceeded = [0] * len(alphas)
-        for t in range(cfg.trials):
-            try:
-                gs = sample_coupled(
-                    ModelParams(cfg.s, n, p=max(ps), seed=cfg.seed,
-                                trial_index=t), ps)
-            except BudgetExceeded:
-                for i in range(len(alphas)):
-                    exceeded[i] += 1
-                continue
-            for i, g in enumerate(gs):
-                try:
-                    successes[i] += bool(checker(g))
-                    done[i] += 1
-                except BudgetExceeded:
-                    exceeded[i] += 1
-        for i, a in enumerate(alphas):
-            lo, hi = wilson_interval(successes[i], done[i])
+        parts = _map_chunks(cfg, _run_coupled_chunk, n, ps)
+        for i, (a, p) in enumerate(zip(alphas, ps)):
+            successes, done, exceeded = (sum(col) for col in zip(*(c[i] for c in parts)))
+            lo, hi = wilson_interval(successes, done)
             reports.append(EstimateReport(
-                n, a, ps[i], done[i], successes[i],
-                successes[i] / done[i] if done[i] else 0.0, lo, hi,
-                exceeded[i], digest))
+                n, a, p, done, successes, successes / done if done else 0.0,
+                lo, hi, exceeded, digest))
     return reports
 
 

@@ -1,8 +1,11 @@
 """Seeded sampling of random s-uniform hypergraphs.
 
-Each potential edge gets one uniform from a counter-based Philox stream
-keyed by (seed, trial_index); the uniform at position r belongs to the
-edge of colex rank r.  Thresholding the same uniforms at several edge
+Each potential edge gets one 64-bit word from a counter-based Philox
+stream keyed by (seed, trial_index); word r belongs to the edge of colex
+rank r.  The edge is kept iff w < ceil(p * 2^53) * 2^11, exactly when
+numpy's float64 uniform (w >> 11) * 2^-53 is below p.  Words are compared
+in fixed blocks and only the kept ranks are unranked into vertex sets, so
+no edge table is built or cached.  Thresholding the same words at several
 probabilities yields nested (monotone-coupled) samples for free.
 """
 from __future__ import annotations
@@ -65,53 +68,50 @@ class ModelParams:
         return ModelParams(self.s, self.n, self.p, self.alpha, self.seed, trial_index)
 
 
-_table_cache: dict[tuple[int, int], np.ndarray] = {}
+_BLOCK = 1 << 16  # stream words read and thresholded at a time
 
 
-def colex_edge_table(n: int, s: int, budget: int | None = None) -> np.ndarray:
-    """All s-subsets of range(n) as an array, row r = edge of colex rank r.
-
-    Built bottom-up: the colex list of k-subsets of range(n) is, for each
-    top element m, the colex list of (k-1)-subsets of range(m) with m
-    appended, and that sublist is a prefix of the full (k-1)-level table.
-    """
-    limit = DEFAULT_EDGE_BUDGET if budget is None else budget
-    total = comb(n, s)
-    if total > limit:
-        raise BudgetExceeded(
-            f"C({n},{s}) = {total} potential edges exceeds budget {limit}")
-    key = (n, s)
-    if key in _table_cache:
-        return _table_cache[key]
-    level = np.arange(n, dtype=np.int64).reshape(-1, 1)
-    for k in range(2, s + 1):
-        blocks = []
-        for m in range(k - 1, n):
-            prefix = level[: comb(m, k - 1)]
-            tops = np.full((len(prefix), 1), m, dtype=np.int64)
-            blocks.append(np.hstack([prefix, tops]))
-        level = np.vstack(blocks)
-    assert len(level) == total
-    _table_cache[key] = level
-    level.setflags(write=False)
-    return level
+def _below(words: np.ndarray, p: float) -> np.ndarray:
+    """Mask of the words whose float64 uniform (w >> 11) * 2^-53 is below p."""
+    if p == 1.0:
+        return np.ones(len(words), dtype=bool)
+    return words < np.uint64(math.ceil(p * 2.0**53) << 11)
 
 
-def colex_rank(edge: tuple[int, ...]) -> int:
-    """Position of a sorted edge in the colex enumeration of its s-level."""
-    return sum(comb(x, i + 1) for i, x in enumerate(sorted(edge)))
-
-
-def edge_uniforms(params: ModelParams, budget: int | None = None) -> np.ndarray:
-    """The trial's uniforms, one per potential edge, in colex rank order."""
+def _kept(params: ModelParams, p: float, budget: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The colex ranks whose word keeps them at p, and those words."""
     total = comb(params.n, params.s)
     limit = DEFAULT_EDGE_BUDGET if budget is None else budget
     if total > limit:
         raise BudgetExceeded(
             f"C({params.n},{params.s}) = {total} potential edges exceeds budget {limit}")
-    key = np.array([params.seed, params.trial_index], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.random(total)
+    stream = np.random.Philox(key=np.array([params.seed, params.trial_index], dtype=np.uint64))
+    ranks, words = [], []
+    for start in range(0, total, _BLOCK):
+        block = stream.random_raw(min(_BLOCK, total - start))
+        keep = np.flatnonzero(_below(block, p))
+        ranks.append(keep + start)
+        words.append(block[keep])
+    return np.concatenate(ranks), np.concatenate(words)
+
+
+def _unrank(ranks: np.ndarray, n: int, s: int) -> np.ndarray:
+    """Row i = the s-subset x_1 < ... < x_s of range(n) of colex rank ranks[i].
+
+    The rank is sum_k C(x_k, k), so x_k is the largest m with C(m, k) at most
+    what remains of it.  Column k holds C(m, k) = sum_{j<m} C(j, k-1) for
+    m < n, capped at C(n, s) (which no rank reaches) to fit in int64.
+    """
+    cap = comb(n, s)
+    cols = [np.ones(n, dtype=np.int64)]
+    for _ in range(s):
+        cols.append(np.minimum(np.concatenate(([0], np.cumsum(cols[-1][:-1]))), cap))
+    rest = ranks.astype(np.int64)
+    out = np.empty((len(ranks), s), dtype=np.int64)
+    for k in range(s, 0, -1):
+        out[:, k - 1] = x = np.searchsorted(cols[k], rest, side="right") - 1
+        rest -= cols[k][x]
+    return out
 
 
 def sample(params: ModelParams, budget: int | None = None) -> Hypergraph:
@@ -119,23 +119,22 @@ def sample(params: ModelParams, budget: int | None = None) -> Hypergraph:
     p = params.effective_p
     if p == 0.0:
         return Hypergraph(params.s, params.n, [])
-    table = colex_edge_table(params.n, params.s, budget=budget)
-    if p == 1.0:
-        return Hypergraph(params.s, params.n, table.tolist())
-    u = edge_uniforms(params, budget=budget)
-    return Hypergraph(params.s, params.n, table[u < p].tolist())
+    ranks, _ = _kept(params, p, budget)
+    return Hypergraph(params.s, params.n, _unrank(ranks, params.n, params.s).tolist())
 
 
 def sample_coupled(params: ModelParams, ps, budget: int | None = None) -> list[Hypergraph]:
-    """Samples at several probabilities from one uniform stream.
+    """Samples at several probabilities from one word stream.
 
-    The draws are monotone-coupled: whenever ps[i] <= ps[j], the i-th edge
-    set is a subset of the j-th.
+    The stream is thresholded once, at the largest probability, and the
+    kept words are filtered for each smaller one.  The draws are
+    monotone-coupled: whenever ps[i] <= ps[j], the i-th edge set is a
+    subset of the j-th.
     """
     ps = list(ps)
     for q in ps:
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"edge probability must be in [0, 1], got {q}")
-    table = colex_edge_table(params.n, params.s, budget=budget)
-    u = edge_uniforms(params, budget=budget)
-    return [Hypergraph(params.s, params.n, table[u < q].tolist()) for q in ps]
+    ranks, words = _kept(params, max(ps, default=0.0), budget)
+    edges = _unrank(ranks, params.n, params.s)
+    return [Hypergraph(params.s, params.n, edges[_below(words, q)].tolist()) for q in ps]

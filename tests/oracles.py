@@ -11,6 +11,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
+import numpy as np
+
 from hyperspectra.errors import (CapExceeded, DegeneratePair, DEFAULT_PAIR_CAP,
                                  enum_cap)
 from hyperspectra.extensions import PairClass, RootedPair, pair_density
@@ -98,6 +100,17 @@ def bfs_distance(g: Hypergraph, x: int, y: int):
 def random_hypergraph(rng, s: int, n: int, p: float) -> Hypergraph:
     edges = [e for e in itertools.combinations(range(n), s) if rng.random() < p]
     return Hypergraph(s, n, edges)
+
+
+def float_threshold_sample(params, ps) -> list[Hypergraph]:
+    """G^s(n, p) at each p in ps by the plain float pipeline: one float64
+    uniform per potential edge from the trial's Philox stream, paired with
+    the edges in colex order, keeping the edges whose uniform is below p."""
+    key = np.array([params.seed, params.trial_index], dtype=np.uint64)
+    u = np.random.Generator(np.random.Philox(key=key)).random(math.comb(params.n, params.s))
+    colex = sorted(combinations(range(params.n), params.s), key=lambda e: e[::-1])
+    return [Hypergraph(params.s, params.n, [e for e, x in zip(colex, u) if x < p])
+            for p in ps]
 
 
 def random_formula(rng, s: int, depth: int, pool=("x", "y", "z", "u", "v")):

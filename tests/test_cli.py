@@ -317,6 +317,23 @@ class TestDeterminism:
             _, second, _ = run(argv, capsys)
             assert first == second, argv
 
+    @pytest.mark.parametrize("coupling", ["--coupled", "--no-coupled"])
+    def test_sweep_jobs_byte_identical(self, files, capsys, tmp_path, coupling):
+        base = ["sweep", "--s", "3", "--n", "14,20", "--alphas", "3/2,2,5/2",
+                "--trials", "11", "--pattern", files.path5, "--seed", "4",
+                "--format", "csv", coupling]
+        texts, written = {}, {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"sweep{coupling}{jobs}.csv"
+            code, texts[jobs], err = run(base + ["--jobs", jobs, "--out", str(out)], capsys)
+            assert code == 0, err
+            written[jobs] = out.read_bytes()
+        assert texts["1"] == texts["2"]
+        assert written["1"] == written["2"]
+        assert texts["1"].startswith("# digest: ")
+        successes = {row.split(",")[4] for row in texts["1"].splitlines()[2:]}
+        assert len(successes) > 1  # the exponents separate, so the counts are compared
+
     def test_trial_index_changes_sample(self, files, capsys):
         base = ["sample", "--s", "3", "--n", "25", "--alpha", "3/2",
                 "--seed", "1"]

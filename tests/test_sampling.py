@@ -1,11 +1,18 @@
 """Sampler: p computation, edge statistics, coupling, determinism."""
 
+import hashlib
+import itertools
+import json
 import math
 import random
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from hyperspectra import sampling
 from hyperspectra.errors import BudgetExceeded
 from hyperspectra.sampling import ModelParams, p_from_alpha, sample, sample_coupled
 
@@ -132,3 +139,116 @@ def test_sampled_frequency_matches_p():
         hits += (1, 2, 4) in g.edge_set
     se = math.sqrt(p * (1 - p) / trials)
     assert abs(hits / trials - p) <= 4 * se
+
+
+# --- the word-threshold sampler against the float pipeline it replaces ------
+
+def _random_params(rng, s):
+    n = rng.randint(s, {2: 40, 3: 18, 4: 12}[s])
+    trial = rng.choice([rng.randrange(100), rng.getrandbits(64)])
+    return ModelParams(s, n, p=0.5, seed=rng.getrandbits(64), trial_index=trial)
+
+
+def _probabilities(rng, n):
+    return [0.0, 1.0, 2.0**-53, 1 - 2.0**-53, 1 / n, rng.random(), rng.random() ** 6]
+
+
+def test_sample_matches_float_threshold():
+    rng = random.Random(2024)
+    for case in range(315):
+        params = _random_params(rng, (2, 3, 4)[case % 3])
+        p = _probabilities(rng, params.n)[case % 7]
+        assert sample(replace(params, p=p)) == oracles.float_threshold_sample(params, [p])[0], \
+            (params, p)
+
+
+def test_coupled_matches_float_threshold():
+    rng = random.Random(2025)
+    for case in range(300):
+        params = _random_params(rng, (2, 3, 4)[case % 3])
+        ps = rng.sample(_probabilities(rng, params.n), rng.randint(1, 7))
+        assert sample_coupled(params, ps) == oracles.float_threshold_sample(params, ps), \
+            (params, ps)
+
+
+def test_threshold_at_drawn_uniforms():
+    # p equal to an edge's own uniform drops that edge; the next float up keeps it
+    rng = random.Random(2026)
+    for case in range(60):
+        params = _random_params(rng, (2, 3, 4)[case % 3])
+        total = math.comb(params.n, params.s)
+        key = np.array([params.seed, params.trial_index], dtype=np.uint64)
+        u = np.random.Generator(np.random.Philox(key=key)).random(total)
+        r = rng.randrange(total)
+        ps = [float(u[r]), float(np.nextafter(u[r], 0.0)), float(np.nextafter(u[r], 1.0))]
+        want = oracles.float_threshold_sample(params, ps)
+        assert sample_coupled(params, ps) == want
+        assert [sample(replace(params, p=p)) for p in ps] == want
+        edge = sorted(itertools.combinations(range(params.n), params.s),
+                      key=lambda e: e[::-1])[r]
+        assert [edge in g.edge_set for g in want] == [False, False, True]
+
+
+@pytest.mark.parametrize("s,n", [(2, 400), (3, 80), (4, 40), (3, 120)])
+def test_draws_spanning_several_blocks(s, n):
+    assert math.comb(n, s) > sampling._BLOCK
+    params = ModelParams(s, n, p=0.5, seed=11, trial_index=3)
+    ps = [1 / n, 5 / n, 0.3, 1e-4]
+    want = oracles.float_threshold_sample(params, ps)
+    assert sample_coupled(params, ps) == want
+    assert [sample(replace(params, p=p)) for p in ps] == want
+
+
+def test_word_threshold_matches_float_uniform():
+    # numpy's float64 uniform from a word w is (w >> 11) * 2^-53
+    rng = random.Random(2027)
+    ps = [0.0, 1.0, 2.0**-53, 2.0**-60, 1 - 2.0**-53, 0.5, 1 / 3, 5e-324]
+    ps += [rng.random() ** rng.randint(1, 8) for _ in range(200)]
+    for p in ps:
+        c = math.ceil(p * 2.0**53) << 11
+        near = [c + d for d in range(-2049, 2050) if 0 <= c + d < 2**64]
+        words = np.array(near + [rng.getrandbits(64) for _ in range(64)], dtype=np.uint64)
+        floats = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        assert np.array_equal(sampling._below(words, p), floats < p), p
+
+
+def test_unranking_columns_beyond_int64():
+    # C(n, s) = C(140, 3) fits the budget, but the columns C(m, k) for k
+    # near 70 exceed 2^63; each kept edge must have its colex rank
+    s, n, p = 137, 140, 0.002
+    params = ModelParams(s, n, p=p, seed=5, trial_index=1)
+    key = np.array([params.seed, params.trial_index], dtype=np.uint64)
+    u = np.random.Generator(np.random.Philox(key=key)).random(math.comb(n, s))
+    ranks = sorted(sum(math.comb(x, i + 1) for i, x in enumerate(e))
+                   for e in sample(params).edges)
+    assert ranks == np.flatnonzero(u < p).tolist()
+
+
+def _digest(draws) -> str:
+    return hashlib.sha256(json.dumps(draws, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_golden_window_cell():
+    # gate 3's cell: the witness at alpha = 15/8, s = 3, n = 120, seed 0
+    p = p_from_alpha(120, Fraction(15, 8))
+    cell = [sample(ModelParams(3, 120, p=p, seed=0, trial_index=t)).edges for t in range(20)]
+    assert _digest(cell) == "8d9f34c87457e5cedaad9bacbb58d206c6dc7ae773e7c2d6a548ffbcaef9b0ea"
+
+
+def test_golden_sweep_draws():
+    # the coupled draws of `hyperspectra sweep --s 3 --n 80 --seed 42` over five exponents
+    ps = [p_from_alpha(80, Fraction(a)) for a in ("2", "9/4", "5/2", "11/4", "3")]
+    draws = [[g.edges for g in sample_coupled(
+        ModelParams(3, 80, p=max(ps), seed=42, trial_index=t), ps)] for t in range(25)]
+    assert _digest(draws) == "1a3bd02cc4df003d718ae57440e2d0ff139bb25f2e180275f0bd0072bdeacd4b"
+
+
+def test_draw_memory_bounded():
+    # C(300, 3) = 4,455,100 potential edges; their 3-column int64 table alone is 107 MB
+    tracemalloc.start()
+    try:
+        sample(ModelParams(3, 300, alpha=Fraction(15, 8)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak

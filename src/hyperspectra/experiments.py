@@ -15,6 +15,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -203,13 +204,19 @@ def _chunks(total: int, parts: int):
     return [range(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
-def _map_chunks(cfg: ExperimentConfig, run, *args) -> list:
-    """run(cfg, *args, trials) per chunk of the trial range, in trial order:
-    the whole range in-process with one job, else one chunk per worker."""
+def _pool(cfg: ExperimentConfig):
+    """The worker pool a run shares across its cells: none for one job."""
     if cfg.jobs == 1:
+        return nullcontext()
+    return ProcessPoolExecutor(max_workers=cfg.jobs)
+
+
+def _map_chunks(cfg: ExperimentConfig, pool, run, *args) -> list:
+    """run(cfg, *args, trials) per chunk of the trial range, in trial order:
+    the whole range in-process without a pool, else one chunk per worker."""
+    if pool is None:
         return [run(cfg, *args, range(cfg.trials))]
-    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-        return list(pool.map(partial(run, cfg, *args), _chunks(cfg.trials, cfg.jobs)))
+    return list(pool.map(partial(run, cfg, *args), _chunks(cfg.trials, cfg.jobs)))
 
 
 def _report_from_records(cfg: ExperimentConfig, n: int,
@@ -230,8 +237,13 @@ def estimate_probability(cfg: ExperimentConfig) -> EstimateReport:
     """Empirical probability that one (n, p) cell has the property."""
     if len(cfg.n_list) != 1:
         raise ValueError("estimate_probability wants exactly one n; use sweep_alpha")
+    with _pool(cfg) as pool:
+        return _estimate(cfg, pool)
+
+
+def _estimate(cfg: ExperimentConfig, pool) -> EstimateReport:
     n = cfg.n_list[0]
-    records = [r for part in _map_chunks(cfg, _run_cell_chunk, n) for r in part]
+    records = [r for part in _map_chunks(cfg, pool, _run_cell_chunk, n) for r in part]
     if cfg.out_path:
         save_jsonl(cfg.out_path, cfg, records, append=True)
     return _report_from_records(cfg, n, records)
@@ -253,15 +265,13 @@ def sweep_alpha(cfg: ExperimentConfig, alphas=None,
         if a <= 0:
             raise ValueError(f"grid exponent {a} must be positive")
     _, monotone = cfg.prop.resolve(cfg.s)
-    if not coupled or not monotone or len(alphas) == 1:
-        reports = []
-        for n in cfg.n_list:
-            for a in alphas:
-                sub = ExperimentConfig(cfg.s, (n,), cfg.prop, cfg.trials,
-                                       cfg.seed, alpha=a, jobs=cfg.jobs)
-                reports.append(estimate_probability(sub))
-    else:
-        reports = _sweep_coupled(cfg, alphas)
+    with _pool(cfg) as pool:
+        if not coupled or not monotone or len(alphas) == 1:
+            reports = [_estimate(ExperimentConfig(cfg.s, (n,), cfg.prop, cfg.trials,
+                                                  cfg.seed, alpha=a, jobs=cfg.jobs), pool)
+                       for n in cfg.n_list for a in alphas]
+        else:
+            reports = _sweep_coupled(cfg, alphas, pool)
     if cfg.out_path:
         save_csv(cfg.out_path, cfg.digest(), reports)
     return reports
@@ -288,12 +298,12 @@ def _run_coupled_chunk(cfg: ExperimentConfig, n: int, ps, indices) -> list[list[
     return counts
 
 
-def _sweep_coupled(cfg: ExperimentConfig, alphas) -> list[EstimateReport]:
+def _sweep_coupled(cfg: ExperimentConfig, alphas, pool) -> list[EstimateReport]:
     digest = cfg.digest()
     reports = []
     for n in cfg.n_list:
         ps = [p_from_alpha(n, a) for a in alphas]
-        parts = _map_chunks(cfg, _run_coupled_chunk, n, ps)
+        parts = _map_chunks(cfg, pool, _run_coupled_chunk, n, ps)
         for i, (a, p) in enumerate(zip(alphas, ps)):
             successes, done, exceeded = (sum(col) for col in zip(*(c[i] for c in parts)))
             lo, hi = wilson_interval(successes, done)
@@ -361,9 +371,10 @@ def copy_count_distribution(patterns, n: int, trials: int, seed: int,
     counts = [[] for _ in patterns]
     for t in range(trials):
         host = sample(ModelParams(patterns[0].s, n, p=p, seed=seed, trial_index=t))
+        peeled: dict = {}  # this host, peeled once per set of pattern profiles
         for i, g in enumerate(patterns):
             # looked up on the module, where span tracers wrap it
-            emb = hypergraph.count_embeddings(host, g, cap=cap)
+            emb = hypergraph.count_embeddings(host, g, cap=cap, _peeled=peeled)
             assert emb % auts[i] == 0, "embedding count must be divisible by automorphisms"
             counts[i].append(emb // auts[i])
     histograms = []

@@ -269,24 +269,31 @@ def _search_plan(pattern: Hypergraph, roots: int = 0) -> _SearchPlan:
 
     Vertices 0..roots-1 count as placed from the start.  An edge's
     profile is the sorted degrees of its vertices.  Each component starts
-    at its most degree-constrained edge; after that the edge with the
-    most vertices already placed goes next.  An edge whose vertices all
-    land before its turn is checked when its last vertex lands and gets
-    no step of its own.
+    at its most degree-constrained edge.  After that the edge with the
+    most vertices already placed goes next; among those, the one whose
+    new vertices lie fewest hops from the placed ones without it, so the
+    shortest cycle through the placed part closes (and can fail) first
+    (the connectivity order of RI, Bonnici et al. 2013).  An edge whose
+    vertices all land before its turn is checked when its last vertex
+    lands and gets no step of its own.
     """
     deg = tuple(pattern.degree(x) for x in range(pattern.n))
     profile = {e: tuple(sorted(deg[x] for x in e)) for e in pattern.edges}
+    placed = set(range(roots))
+    left = [e for e in pattern.edges if not placed.issuperset(e)]
 
     def tightness(e: Edge):
         return (sum(profile[e]), profile[e])
 
-    placed = set(range(roots))
-    left = [e for e in pattern.edges if not placed.issuperset(e)]
+    def rank(e: Edge):
+        closes = _hops(pattern, e, [x for x in e if x not in placed], placed)
+        return (len(placed.intersection(e)), -closes, tightness(e))
+
     steps = []
     while left:
         touching = [e for e in left if not placed.isdisjoint(e)]
         if touching:
-            pick = max(touching, key=lambda e: (len(placed.intersection(e)), tightness(e)))
+            pick = max(touching, key=rank)
         else:
             pick = max(left, key=tightness)
         known = tuple(x for x in pick if x in placed)
@@ -304,6 +311,29 @@ def _search_plan(pattern: Hypergraph, roots: int = 0) -> _SearchPlan:
     starts = sum(1 for st in steps if not st[0])
     return _SearchPlan(deg, tuple(x for x in range(pattern.n) if x not in placed),
                        minimal, tuple(steps), roots == 0 and starts == 1)
+
+
+def _hops(pattern: Hypergraph, skip: Edge, start, goal) -> int:
+    """Fewest hops from `start` to a vertex of `goal` over the pattern's
+    edges other than `skip`; pattern.n when there is no such path."""
+    seen = set(start)
+    frontier = list(start)
+    hops = 0
+    while frontier:
+        hops += 1
+        nxt = []
+        for x in frontier:
+            for e in pattern.incident[x]:
+                if e == skip:
+                    continue
+                for y in e:
+                    if y in goal:
+                        return hops
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+        frontier = nxt
+    return pattern.n
 
 
 def _peel(edges, profiles) -> list[Edge]:
@@ -351,7 +381,7 @@ def _incidence(edges) -> tuple[dict[int, int], dict[int, list[Edge]]]:
 
 
 def _embedding_search(host: Hypergraph, pattern: Hypergraph, mode: str, *,
-                      strict: bool = False, roots=(), forbidden=()):
+                      strict: bool = False, roots=(), forbidden=(), peeled=None):
     """The one backtracking search for injective edge-preserving maps
     pattern -> host.
 
@@ -368,7 +398,9 @@ def _embedding_search(host: Hypergraph, pattern: Hypergraph, mode: str, *,
     The host is first peeled (`_peel`); candidates come from what
     survives, the strict rule reads every host edge.  A connected pattern
     without roots then needs a host component with enough edges and
-    vertices.
+    vertices.  `peeled`, a dict the caller keeps for one host, shares the
+    peeled edges between searches whose patterns have the same minimal
+    profiles; it only serves searches without `forbidden`.
     """
     if pattern.s != host.s:
         raise ValueError("pattern and host must share the same uniformity")
@@ -426,7 +458,12 @@ def _embedding_search(host: Hypergraph, pattern: Hypergraph, mode: str, *,
 
     if not plan.steps:
         return result(finish(0))
-    edges = _peel(clear, plan.profiles)
+    if peeled is None:
+        edges = _peel(clear, plan.profiles)
+    elif plan.profiles in peeled:
+        edges = peeled[plan.profiles]
+    else:
+        edges = peeled[plan.profiles] = _peel(clear, plan.profiles)
     if len(edges) < pattern.e:
         return result(0)
     if plan.connected and not _has_component_at_least(edges, pattern.e,
@@ -488,11 +525,16 @@ def _embedding_search(host: Hypergraph, pattern: Hypergraph, mode: str, *,
 
 
 def count_embeddings(host: Hypergraph, pattern: Hypergraph, cap: int | None = None,
-                     induced: bool = False) -> int:
+                     induced: bool = False, *, _peeled: dict | None = None) -> int:
+    """Injective edge-preserving maps pattern -> host (induced ones if asked).
+
+    `_peeled` is a private per-host memo of peeled edges, shared between
+    the counts of several patterns on one host (see `_embedding_search`).
+    """
     limit = enum_cap(DEFAULT_ENUM_CAP, cap)
     if pattern.n > limit:
         raise CapExceeded(f"pattern on {pattern.n} vertices exceeds cap {limit}")
-    return _embedding_search(host, pattern, "count", strict=induced)
+    return _embedding_search(host, pattern, "count", strict=induced, peeled=_peeled)
 
 
 def count_copies(host: Hypergraph, pattern: Hypergraph, cap: int | None = None,

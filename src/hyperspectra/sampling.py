@@ -5,14 +5,16 @@ stream keyed by (seed, trial_index); word r belongs to the edge of colex
 rank r.  The edge is kept iff w < ceil(p * 2^53) * 2^11, exactly when
 numpy's float64 uniform (w >> 11) * 2^-53 is below p.  Words are compared
 in fixed blocks and only the kept ranks are unranked into vertex sets, so
-no edge table is built or cached.  Thresholding the same words at several
-probabilities yields nested (monotone-coupled) samples for free.
+no edge table is built; only the unranking's binomial columns, s + 1
+arrays of n entries, are kept per (n, s).  Thresholding the same words at
+several probabilities yields nested (monotone-coupled) samples for free.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -64,9 +66,6 @@ class ModelParams:
             return self.p
         return p_from_alpha(self.n, self.alpha)
 
-    def with_trial(self, trial_index: int) -> "ModelParams":
-        return ModelParams(self.s, self.n, self.p, self.alpha, self.seed, trial_index)
-
 
 _BLOCK = 1 << 16  # stream words read and thresholded at a time
 
@@ -95,17 +94,27 @@ def _kept(params: ModelParams, p: float, budget: int | None) -> tuple[np.ndarray
     return np.concatenate(ranks), np.concatenate(words)
 
 
-def _unrank(ranks: np.ndarray, n: int, s: int) -> np.ndarray:
-    """Row i = the s-subset x_1 < ... < x_s of range(n) of colex rank ranks[i].
-
-    The rank is sum_k C(x_k, k), so x_k is the largest m with C(m, k) at most
-    what remains of it.  Column k holds C(m, k) = sum_{j<m} C(j, k-1) for
-    m < n, capped at C(n, s) (which no rank reaches) to fit in int64.
-    """
+@lru_cache(maxsize=32)
+def _columns(n: int, s: int) -> tuple[np.ndarray, ...]:
+    """Column k (k = 0..s) holds C(m, k) = sum_{j<m} C(j, k-1) for m < n,
+    capped at C(n, s) (which no rank reaches) to fit in int64.  The
+    arrays are read-only: every draw on (n, s) shares them."""
     cap = comb(n, s)
     cols = [np.ones(n, dtype=np.int64)]
     for _ in range(s):
         cols.append(np.minimum(np.concatenate(([0], np.cumsum(cols[-1][:-1]))), cap))
+    for col in cols:
+        col.flags.writeable = False
+    return tuple(cols)
+
+
+def _unrank(ranks: np.ndarray, n: int, s: int) -> np.ndarray:
+    """Row i = the s-subset x_1 < ... < x_s of range(n) of colex rank ranks[i].
+
+    The rank is sum_k C(x_k, k), so x_k is the largest m with C(m, k) at most
+    what remains of it, found by binary search in `_columns(n, s)[k]`.
+    """
+    cols = _columns(n, s)
     rest = ranks.astype(np.int64)
     out = np.empty((len(ranks), s), dtype=np.int64)
     for k in range(s, 0, -1):

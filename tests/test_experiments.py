@@ -27,6 +27,7 @@ from hyperspectra.experiments import (
 )
 from hyperspectra.extensions import RootedPair
 from hyperspectra.hypergraph import Hypergraph, count_copies
+from hyperspectra.sampling import ModelParams, sample
 
 import oracles
 
@@ -191,6 +192,27 @@ class TestSweep:
         assert [r.alpha for r in reports] == [Fraction(2), Fraction(3)]
 
 
+    @pytest.mark.parametrize("coupled", [True, False])
+    def test_one_pool_per_sweep(self, monkeypatch, coupled):
+        from hyperspectra import experiments
+        pools = []
+
+        class CountedPool(experiments.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountedPool)
+        cfg = ExperimentConfig(3, (12, 16), PropertySpec("pattern", pattern=LOOSE_PATH),
+                               6, seed=5, alpha=Fraction(2), jobs=2)
+        grid = [Fraction(2), Fraction(5, 2), Fraction(3)]
+        reports = sweep_alpha(cfg, grid, coupled=coupled)
+        assert pools == [{"max_workers": 2}]
+        serial = ExperimentConfig(3, (12, 16), PropertySpec("pattern", pattern=LOOSE_PATH),
+                                  6, seed=5, alpha=Fraction(2))
+        assert reports == sweep_alpha(serial, grid, coupled=coupled)
+
+
 class TestCopyCounts:
     def test_triangle_poisson_fit(self):
         rep = copy_count_distribution(TRIANGLE, 100, 600, seed=7)
@@ -209,6 +231,26 @@ class TestCopyCounts:
         ((i, j, r),) = rep.correlations
         assert (i, j) == (0, 1)
         assert abs(r) < 0.15
+
+    def test_peels_each_host_once(self, monkeypatch):
+        from hyperspectra import hypergraph
+        peel = hypergraph._peel
+        peels = []
+
+        def counted_peel(*args):
+            peels.append(args)
+            return peel(*args)
+
+        monkeypatch.setattr(hypergraph, "_peel", counted_peel)
+        rep = copy_count_distribution([TRIANGLE, FOUR_CYCLE], 40, 12, seed=3, p=0.1)
+        # K3 and C4 share their minimal edge profile (2, 2): one peel per
+        # host (the automorphism counts peel small graphs of their own)
+        assert sum(1 for _, profiles in peels if profiles == ((2, 2),)) == 12
+        hosts = [sample(ModelParams(2, 40, p=0.1, seed=3, trial_index=t)) for t in range(12)]
+        for pattern, hist in zip((TRIANGLE, FOUR_CYCLE), rep.histograms):
+            counts = [count_copies(host, pattern) for host in hosts]
+            assert hist == {c: counts.count(c) for c in set(counts)}
+        assert max(rep.histograms[1]) > 0  # some host holds a 4-cycle
 
     def test_rejects_unbalanced_pattern(self):
         pendant = Hypergraph(2, 4, [(0, 1), (1, 2), (0, 2), (0, 3)])

@@ -290,6 +290,32 @@ class TestStrictExtensions:
             want = oracles.brute_strict_extensions(host, root_tuple, pair, forbidden)
             assert got == want
 
+    @pytest.mark.parametrize("s, n_pat, edges, roots", [
+        # two triangles sharing vertex 0, rooted at the shared vertex
+        (2, 5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)], 1),
+        # a triangle and a 4-cycle joined by (2, 3), rooted on the triangle
+        (2, 7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 6)], 2),
+        # a loose 3-cycle with a pendant edge at vertex 1
+        (3, 8, [(0, 1, 2), (2, 3, 4), (0, 4, 5), (1, 6, 7)], 1),
+    ])
+    def test_multi_cycle_matches_bruteforce(self, s, n_pat, edges, roots):
+        g = Hypergraph(s, n_pat, edges)
+        pair = RootedPair(g, roots, [e for e in g.edges if e[-1] < roots])
+        rng = random.Random(n_pat)
+        found = 0
+        for i in range(6):
+            n = n_pat + i % 2
+            host = oracles.random_hypergraph(rng, s, n, 0.05 if s == 2 else 0.03)
+            image = rng.sample(range(n), n_pat)
+            host = Hypergraph(s, n, host.edges + tuple(
+                tuple(image[x] for x in e) for e in edges))
+            # the planted copy's roots, then a random root tuple
+            for root_tuple in (tuple(image[:roots]), tuple(rng.sample(range(n), roots))):
+                got = strict_extensions(host, root_tuple, pair)
+                assert got == oracles.brute_strict_extensions(host, root_tuple, pair)
+                found += bool(got)
+        assert found >= 2
+
     def test_isomorphism_equivariant(self):
         rng = random.Random(18)
         for _ in range(25):

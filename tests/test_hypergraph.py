@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperspectra.bounds import build_two_cycle_witness
 from hyperspectra.errors import CapExceeded, FormatError
 from hyperspectra.hypergraph import (
     Hypergraph,
@@ -257,6 +258,21 @@ class TestSparseHosts:
         assert peeled_hits >= 2
 
     @pytest.mark.parametrize("s", [2, 3])
+    def test_shared_peel_memo(self, s):
+        # one memo per host serves patterns with different minimal profiles
+        rng = random.Random(60 + s)
+        profile_sets = {_search_plan(pat).profiles for pat in self.PATTERNS[s]}
+        for _ in range(6):
+            host = oracles.random_hypergraph(rng, s, 10, rng.uniform(0.05, 0.3))
+            memo = {}
+            for pat in self.PATTERNS[s]:
+                want = count_embeddings(host, pat)
+                assert count_embeddings(host, pat, _peeled=memo) == want
+                assert count_embeddings(host, pat, _peeled=memo, induced=True) == (
+                    count_embeddings(host, pat, induced=True))
+            assert set(memo) == profile_sets
+
+    @pytest.mark.parametrize("s", [2, 3])
     def test_isomorphism_matches_bruteforce(self, s):
         rng = random.Random(50 + s)
         same = 0
@@ -282,6 +298,55 @@ class TestSparseHosts:
             same += want
             assert is_isomorphic(g, h) == want
         assert 0 < same < 8
+
+
+# patterns with several cycles, on at most 8 vertices for the brute-force oracles
+MULTI_CYCLE = {
+    # two triangles sharing vertex 0
+    "bowtie": Hypergraph(2, 5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]),
+    # a triangle and a 4-cycle joined by the edge (2, 3)
+    "triangle-square": Hypergraph(2, 7, [(0, 1), (1, 2), (0, 2), (2, 3),
+                                         (3, 4), (4, 5), (5, 6), (3, 6)]),
+    # a loose 3-cycle with a pendant edge at the non-junction vertex 1
+    "cycle-pendant": Hypergraph(3, 8, [(0, 1, 2), (2, 3, 4), (0, 4, 5), (1, 6, 7)]),
+}
+
+
+def planted_host(rng, pat, n, p):
+    """A sparse random host on n vertices holding one copy of pat."""
+    host = oracles.random_hypergraph(rng, pat.s, n, p)
+    image = rng.sample(range(n), pat.n)
+    planted = [tuple(image[x] for x in e) for e in pat.edges]
+    return Hypergraph(pat.s, n, host.edges + tuple(planted))
+
+
+class TestCycleOrder:
+    """The search plan closes short cycles early; answers must not move."""
+
+    @pytest.mark.parametrize("name", sorted(MULTI_CYCLE))
+    def test_multi_cycle_matches_bruteforce(self, name):
+        pat = MULTI_CYCLE[name]
+        rng = random.Random(name)
+        # brute force walks (n)_v maps: at most (8)_7 = 40,320 per host
+        for n in (7, 8, 9, 10) if pat.n <= 5 else (pat.n, 8, 8, 8):
+            host = planted_host(rng, pat, n, 0.15 if pat.s == 2 else 0.05)
+            emb = oracles.brute_embedding_count(host, pat)
+            assert emb > 0
+            assert count_embeddings(host, pat) == emb
+            assert contains_copy(host, pat)
+            assert count_embeddings(host, pat, induced=True) == (
+                oracles.brute_induced_embedding_count(host, pat))
+
+    def test_witness_closes_a_cycle_early(self):
+        # the loose 3-cycle at the hub closes at step 3 (after the start
+        # edge and two of its edges), not after every branch has grown
+        plan = _search_plan(build_two_cycle_witness(3, 2, 1, 1))
+        first = next(i for i, step in enumerate(plan.steps) if len(step[0]) >= 2)
+        assert first <= 3
+
+    def test_witness_self_embeddings(self):
+        w = build_two_cycle_witness(3, 2, 1, 1)
+        assert count_embeddings(w, w, cap=15) == automorphism_count(w, cap=15)
 
 
 class TestDistance:

@@ -224,6 +224,15 @@ def test_unranking_columns_beyond_int64():
     assert ranks == np.flatnonzero(u < p).tolist()
 
 
+def test_unranking_columns_cached_read_only():
+    cols = sampling._columns(30, 3)
+    assert sampling._columns(30, 3) is cols
+    for k, col in enumerate(cols):
+        assert col.tolist() == [math.comb(m, k) for m in range(30)]
+        with pytest.raises(ValueError):
+            col[0] = 7
+
+
 def _digest(draws) -> str:
     return hashlib.sha256(json.dumps(draws, separators=(",", ":")).encode()).hexdigest()
 

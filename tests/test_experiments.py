@@ -191,7 +191,6 @@ class TestSweep:
         reports = sweep_alpha(cfg, [Fraction(2), Fraction(3)], coupled=False)
         assert [r.alpha for r in reports] == [Fraction(2), Fraction(3)]
 
-
     @pytest.mark.parametrize("coupled", [True, False])
     def test_one_pool_per_sweep(self, monkeypatch, coupled):
         from hyperspectra import experiments

@@ -46,7 +46,7 @@ from .hypergraph import (
     is_strictly_balanced,
     max_density,
 )
-from .logic import evaluate, free_vars, parse, quantifier_depth
+from .logic import evaluate, parse, quantifier_depth, require_closed
 from .sampling import ModelParams, sample
 from .experiments import (
     CSV_FIELDS,
@@ -274,10 +274,7 @@ def cmd_eval(args):
             text = fh.read()
     else:
         text = args.formula
-    f = parse(text, g.s)
-    loose = free_vars(f)
-    if loose:
-        raise ValueError(f"formula has free variables: {', '.join(sorted(loose))}")
+    f = require_closed(parse(text, g.s))
     doc = {"schema": "hyperspectra.eval.v1",
            "value": evaluate(g, f, budget=args.budget),
            "depth": quantifier_depth(f)}

@@ -27,7 +27,7 @@ from .extensions import RootedPair, strict_extensions
 from . import hypergraph
 from .hypergraph import (Hypergraph, _embedding_search, automorphism_count,
                          contains_copy, density, is_strictly_balanced)
-from .logic import Formula, evaluate, parse
+from .logic import compile_formula, parse, require_closed
 from .sampling import ModelParams, p_from_alpha, sample, sample_coupled
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -105,8 +105,7 @@ class PropertySpec:
             return (lambda g: contains_copy(g, pat)), True
         if self.kind == "builtin":
             return (lambda g: g.e > 0), True
-        sentence = parse(self.formula_text, s)
-        return (lambda g: evaluate(g, sentence)), False
+        return compile_formula(require_closed(parse(self.formula_text, s)), s), False
 
     def describe(self) -> dict:
         if self.kind == "pattern":

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from .errors import BudgetExceeded, NoWitness, DEFAULT_EVAL_BUDGET
 from .hypergraph import Hypergraph
-from .logic import Formula, evaluate, quantifier_depth
+from .logic import Formula, compile_formula, quantifier_depth
 
 DUPLICATOR = "duplicator"
 SPOILER = "spoiler"
@@ -210,4 +210,4 @@ def agreement_check(g1: Hypergraph, g2: Hypergraph, k: int,
     if solve(g1, g2, k, budget) != DUPLICATOR:
         return []
     return [f for f in corpus
-            if evaluate(g1, f) != evaluate(g2, f)]
+            if (check := compile_formula(f, g1.s))(g1) != check(g2)]

@@ -6,7 +6,9 @@ textual form is an s-expression DSL:
 
     (exists x (forall y (or (N x y z) (= x y))))
 
-Formulas are immutable; evaluation is pure and budgeted.
+Formulas are immutable.  compile_formula turns one into nested closures
+once, and the result runs on any number of hosts; evaluate compiles and
+runs.  Evaluation is pure and budgeted in node visits.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from operator import itemgetter
 
 from .errors import BudgetExceeded, ParseError, DEFAULT_EVAL_BUDGET
 from .hypergraph import Hypergraph
@@ -260,16 +263,12 @@ def parse(text: str, s: int) -> Formula:
     return f
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, left: int):
-        self.left = left
-
-    def spend(self):
-        self.left -= 1
-        if self.left < 0:
-            raise BudgetExceeded("evaluation node-visit budget exhausted")
+def require_closed(f: Formula) -> Formula:
+    """f itself when it is a sentence; otherwise ValueError naming its free variables."""
+    loose = free_vars(f)
+    if loose:
+        raise ValueError(f"formula has free variables: {', '.join(sorted(loose))}")
+    return f
 
 
 def evaluate(g: Hypergraph, f: Formula, assignment: dict[str, int] | None = None,
@@ -283,53 +282,127 @@ def evaluate(g: Hypergraph, f: Formula, assignment: dict[str, int] | None = None
     for name, vertex in env.items():
         if not 0 <= vertex < g.n:
             raise ValueError(f"assignment sends {name} to {vertex}, outside 0..{g.n - 1}")
-    tracker = _Budget(DEFAULT_EVAL_BUDGET if budget is None else budget)
-    return _eval(g, f, env, tracker)
+    return compile_formula(f, g.s, tuple(env))(g, tuple(env.values()), budget)
 
 
-def _lookup(env: dict[str, int], name: str) -> int:
-    try:
-        return env[name]
-    except KeyError:
-        raise ValueError(f"unbound variable {name!r}") from None
+def _out_of_budget():
+    raise BudgetExceeded("evaluation node-visit budget exhausted")
 
 
-def _eval(g: Hypergraph, f: Formula, env: dict[str, int], budget: _Budget) -> bool:
-    budget.spend()
-    match f:
-        case Equal(left, right):
-            return _lookup(env, left) == _lookup(env, right)
-        case EdgeAtom(terms):
-            if len(terms) != g.s:
-                raise ValueError(
-                    f"edge relation N takes {g.s} arguments here, got {len(terms)}")
-            values = [_lookup(env, t) for t in terms]
-            return len(set(values)) == g.s and tuple(sorted(values)) in g.edge_set
-        case Not(body):
-            return not _eval(g, body, env, budget)
-        case And(parts):
-            return all(_eval(g, p, env, budget) for p in parts)
-        case Or(parts):
-            return any(_eval(g, p, env, budget) for p in parts)
-        case Implies(left, right):
-            return not _eval(g, left, env, budget) or _eval(g, right, env, budget)
-        case Exists(var, body):
-            return any(_eval_bound(g, body, env, var, x, budget) for x in range(g.n))
-        case Forall(var, body):
-            return all(_eval_bound(g, body, env, var, x, budget) for x in range(g.n))
-    raise TypeError(f"not a formula: {f!r}")
+def compile_formula(f: Formula, s: int, free: tuple[str, ...] = ()):
+    """Compile f once into nested closures; returns check(g, values=(), budget=None).
+
+    check runs f on an s-uniform host g with free[i] bound to values[i],
+    with the same short-circuits and the same node-visit budget as a walk
+    of the tree.  Every closure takes one list: slot 0 holds the visits
+    left, slot 1 the host's edges as frozensets, slot 2 its vertex range;
+    each free name and each quantifier gets a slot of its own after that,
+    so a re-bound name needs no save and restore.  Unbound names and edge
+    atoms of the wrong arity raise ValueError only when visited.
+    """
+    width = 3 + len(free)
+
+    def build(node: Formula, scope: dict[str, int]):
+        nonlocal width
+        match node:
+            case Equal(left, right):
+                if (loose := _first_unbound((left, right), scope)) is not None:
+                    return _failing(loose)
+                i, j = scope[left], scope[right]
+
+                def run(env):
+                    env[0] -= 1
+                    if env[0] < 0:
+                        _out_of_budget()
+                    return env[i] == env[j]
+            case EdgeAtom(terms):
+                if len(terms) != s:
+                    return _failing(
+                        f"edge relation N takes {s} arguments here, got {len(terms)}")
+                if (loose := _first_unbound(terms, scope)) is not None:
+                    return _failing(loose)
+                # repeated vertices shrink the set below s, so it is no edge
+                get = itemgetter(*(scope[t] for t in terms))
+
+                def run(env):
+                    env[0] -= 1
+                    if env[0] < 0:
+                        _out_of_budget()
+                    return frozenset(get(env)) in env[1]
+            case Not(body):
+                inner = build(body, scope)
+
+                def run(env):
+                    env[0] -= 1
+                    if env[0] < 0:
+                        _out_of_budget()
+                    return not inner(env)
+            case And(parts) | Or(parts):
+                inners, stop = [build(p, scope) for p in parts], isinstance(node, Or)
+
+                def run(env):
+                    env[0] -= 1
+                    if env[0] < 0:
+                        _out_of_budget()
+                    for inner in inners:
+                        if inner(env) is stop:
+                            return stop
+                    return not stop
+            case Implies(left, right):
+                first, second = build(left, scope), build(right, scope)
+
+                def run(env):
+                    env[0] -= 1
+                    if env[0] < 0:
+                        _out_of_budget()
+                    return not first(env) or second(env)
+            case Exists(var, body) | Forall(var, body):
+                k, width, stop = width, width + 1, isinstance(node, Exists)
+                inner = build(body, {**scope, var: k})
+
+                def run(env):
+                    env[0] -= 1
+                    if env[0] < 0:
+                        _out_of_budget()
+                    for x in env[2]:
+                        env[k] = x
+                        if inner(env) is stop:
+                            return stop
+                    return not stop
+            case _:
+                raise TypeError(f"not a formula: {node!r}")
+        return run
+
+    root = build(f, {name: 3 + i for i, name in enumerate(free)})
+
+    def check(g: Hypergraph, values: tuple[int, ...] = (), budget: int | None = None) -> bool:
+        if g.s != s:
+            raise ValueError(f"formula compiled for s={s}, host has s={g.s}")
+        if len(values) != len(free):
+            raise ValueError(f"expected {len(free)} values for {free}, got {len(values)}")
+        env = [DEFAULT_EVAL_BUDGET if budget is None else budget,
+               {frozenset(e) for e in g.edges}, range(g.n), *values]
+        env.extend([0] * (width - len(env)))
+        return root(env)
+
+    return check
 
 
-def _eval_bound(g, body, env, var, value, budget) -> bool:
-    shadowed = env.get(var)
-    env[var] = value
-    try:
-        return _eval(g, body, env, budget)
-    finally:
-        if shadowed is None:
-            del env[var]
-        else:
-            env[var] = shadowed
+def _first_unbound(names, scope: dict[str, int]) -> str | None:
+    for name in names:
+        if name not in scope:
+            return f"unbound variable {name!r}"
+    return None
+
+
+def _failing(message: str):
+    """A node that charges its visit and then raises ValueError(message)."""
+    def run(env):
+        env[0] -= 1
+        if env[0] < 0:
+            _out_of_budget()
+        raise ValueError(message)
+    return run
 
 
 class _Gensym:

@@ -502,6 +502,42 @@ def evaluate_naive(g: Hypergraph, f: Formula, assignment: dict[str, int] | None 
     return go(f, env)
 
 
+def evaluate_visits(g: Hypergraph, f: Formula,
+                    assignment: dict[str, int] | None = None) -> tuple[bool, int]:
+    """(truth value, node visits) of a short-circuit evaluation of f.
+
+    Visits count in pre-order and stop where and/or/implies/exists/forall
+    short-circuit: the budget evaluate() charges.  Built on evaluate_naive's
+    truth values, so it shares no code with the package.
+    """
+    def go(node: Formula, env: dict[str, int]) -> tuple[bool, int]:
+        if isinstance(node, (Equal, EdgeAtom)):
+            return evaluate_naive(g, node, env), 1
+        if isinstance(node, Not):
+            value, visits = go(node.body, env)
+            return not value, 1 + visits
+        if isinstance(node, Implies):
+            left, visits = go(node.left, env)
+            if not left:
+                return True, 1 + visits
+            right, more = go(node.right, env)
+            return right, 1 + visits + more
+        if isinstance(node, (Exists, Forall)):
+            children = [(node.body, {**env, node.var: x}) for x in range(g.n)]
+        else:
+            children = [(part, env) for part in node.parts]
+        stop = isinstance(node, (Or, Exists))
+        total = 1
+        for child, child_env in children:
+            value, visits = go(child, child_env)
+            total += visits
+            if value == stop:
+                return stop, total
+        return not stop, total
+
+    return go(f, dict(assignment or {}))
+
+
 def solve_unmemoized(g1: Hypergraph, g2: Hypergraph, k: int,
                      budget: Optional[int] = None) -> str:
     """Reference solver on raw ordered tuples, no memo table."""

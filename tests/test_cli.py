@@ -297,6 +297,16 @@ class TestSubcommands:
         assert len(lines) == 2 + 4
         assert out.read_text().splitlines()[1] == lines[1]
 
+    def test_sweep_rejects_open_formula(self, files, capsys, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code, text, err = run(["sweep", "--s", "3", "--n", "10", "--alphas", "1,2",
+                               "--trials", "3", "--formula",
+                               "(exists x (or (= x x) (N x y z)))",
+                               "--out", str(out)], capsys)
+        assert code == 1 and text == ""
+        assert err.strip() == "error: formula has free variables: y, z"
+        assert not out.exists()
+
     def test_schema_dump_parses(self, files, capsys):
         doc = run_json(["schema-dump"], capsys)
         assert doc["csv_summary"]["fields"][0] == "n"

@@ -118,6 +118,55 @@ class TestConfig:
         assert len(a.digest()) == 64
 
 
+# a loose triangle: three distinct edges joining x-y, y-z and z-x
+LOOSE_TRIANGLE = (
+    "(exists x (exists y (exists a (and (N x y a) (exists z (exists b (and (N y z b)"
+    " (not (= b x)) (exists c (and (N z x c) (not (= a z)) (not (= c y)))))))))))")
+
+
+def triangle_cfg(trials, **kw):
+    return ExperimentConfig(3, (12,), PropertySpec("formula", formula_text=LOOSE_TRIANGLE),
+                            trials, seed=3, p=0.02, **kw)
+
+
+class TestFormulaProperty:
+    def test_outcomes_pinned(self, tmp_path):
+        path = tmp_path / "trials.jsonl"
+        rep = estimate_probability(triangle_cfg(40, out_path=str(path)))
+        _, records = load_jsonl(path)
+        outcomes = "".join("1" if r.outcome else "0" for r in records)
+        assert outcomes == "1010000010000111000100011010000110011001"
+        assert (rep.trials, rep.successes, rep.budget_exceeded) == (40, 15, 0)
+
+    def test_compiled_once_per_run(self, monkeypatch):
+        from hyperspectra import experiments
+        calls = []
+        real = experiments.compile_formula
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(experiments, "compile_formula", counting)
+        counts = []
+        for trials in (5, 50):
+            calls.clear()
+            estimate_probability(triangle_cfg(trials))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] >= 1
+
+    @pytest.mark.parametrize("text, names", [
+        ("(exists x (or (= x x) (N x y z)))", "y, z"),
+        ("(or (= y y) (exists x (= x x)))", "y"),
+    ])
+    def test_open_formula_rejected(self, text, names):
+        prop = PropertySpec("formula", formula_text=text)
+        with pytest.raises(ValueError, match=f"^formula has free variables: {names}$"):
+            prop.resolve(3)
+        with pytest.raises(ValueError, match="free variables"):
+            ExperimentConfig(3, (10,), prop, 3, alpha=Fraction(1))
+
+
 class TestEstimate:
     def test_empty_extremes(self):
         prop = PropertySpec("builtin", builtin="contains-edge")

@@ -156,6 +156,21 @@ class TestAgreement:
         from hyperspectra.logic import evaluate
         assert evaluate(EDGE, sentence) and not evaluate(BARE3, sentence)
 
+    def test_compiles_each_sentence_once(self, monkeypatch):
+        from hyperspectra import game
+        compiled = []
+        real = game.compile_formula
+
+        def counting(f, s, *rest):
+            compiled.append(f)
+            return real(f, s, *rest)
+
+        monkeypatch.setattr(game, "compile_formula", counting)
+        corpus = [parse("(exists x (exists y (exists z (N x y z))))", 3),
+                  parse("(forall x (= x x))", 3)]
+        assert agreement_check(EDGE, EDGE, 3, corpus) == []
+        assert compiled == corpus
+
     def test_depth_validation(self):
         deep = parse("(exists x (exists y (exists z (exists u (= x u)))))", 3)
         with pytest.raises(ValueError):

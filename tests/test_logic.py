@@ -13,12 +13,14 @@ from hyperspectra.logic import (
     EdgeAtom,
     Equal,
     Exists,
+    Or,
     build_B,
     build_C,
     build_D,
     build_D_eq,
     build_Dtilde,
     build_thm9_L,
+    compile_formula,
     evaluate,
     free_vars,
     has_full_extension_property,
@@ -70,11 +72,43 @@ def test_print_parse_identity_on_corpus():
 
 def test_evaluate_matches_naive_reference():
     rng = random.Random(4242)
-    for _ in range(300):
-        f = oracles.random_formula(rng, 3, rng.randint(0, 3))
-        g = oracles.random_hypergraph(rng, 3, rng.randint(1, 5), rng.random())
-        env = {name: rng.randrange(g.n) for name in free_vars(f)}
-        assert evaluate(g, f, env) == oracles.evaluate_naive(g, f, env)
+    for s in (2, 3, 4):
+        for _ in range(300):
+            f = oracles.random_formula(rng, s, rng.randint(0, 3))
+            g = oracles.random_hypergraph(rng, s, rng.randint(1, 5), rng.random())
+            env = {name: rng.randrange(g.n) for name in free_vars(f)}
+            assert evaluate(g, f, env) == oracles.evaluate_naive(g, f, env)
+
+
+def test_budget_matches_visit_count_reference():
+    # the budget counts visited nodes in short-circuit order: exactly the
+    # reference's count passes and one less raises
+    rng = random.Random(5151)
+    for s in (2, 3, 4):
+        for _ in range(150):
+            f = oracles.random_formula(rng, s, rng.randint(0, 3))
+            g = oracles.random_hypergraph(rng, s, rng.randint(1, 5), rng.random())
+            env = {name: rng.randrange(g.n) for name in free_vars(f)}
+            value, visits = oracles.evaluate_visits(g, f, env)
+            assert evaluate(g, f, env, budget=visits) == value
+            with pytest.raises(BudgetExceeded):
+                evaluate(g, f, env, budget=visits - 1)
+
+
+def test_compiled_formula_runs_on_many_hosts():
+    f = build_C(1, 3)
+    check = compile_formula(f, 3, ("x1",))
+    rng = random.Random(12)
+    for _ in range(20):
+        g = oracles.random_hypergraph(rng, 3, rng.randint(3, 7), 0.3)
+        for x in range(g.n):
+            assert check(g, (x,)) == evaluate(g, f, {"x1": x})
+    with pytest.raises(ValueError, match="compiled for s=3, host has s=2"):
+        check(Hypergraph(2, 3, []), (0,))
+    with pytest.raises(ValueError, match="expected 1 values"):
+        check(EDGE3)
+    with pytest.raises(TypeError, match="not a formula"):
+        compile_formula(Or((Equal("x", "x"), "oops")), 3)
 
 
 def test_quantifier_depth_examples():
@@ -103,9 +137,66 @@ def test_evaluate_budget():
         evaluate(Hypergraph(3, 8, []), f, budget=50)
 
 
+def test_budget_exact_on_tautology():
+    # 1 + 8 * (1 + 8 * (1 + 8 * 4)) node visits: or, N, not, N per triple
+    f = parse("(forall x (forall y (forall z (or (N x y z) (not (N x y z))))))", 3)
+    empty = Hypergraph(3, 8, [])
+    assert evaluate(empty, f, budget=2121)
+    with pytest.raises(BudgetExceeded, match="evaluation node-visit budget exhausted"):
+        evaluate(empty, f, budget=2120)
+
+
+def test_cycle_formula_minimum_budgets():
+    # the 20-vertex, 6-edge host of the benchmark's 5-cycle task
+    rng = random.Random(700)
+    host = Hypergraph(3, 20, rng.sample(list(itertools.combinations(range(20), 3)), 6))
+    f = build_C(2, 3)
+    for x1, least in ((0, 9227), (2, 6228), (5, 16560)):
+        evaluate(host, f, {"x1": x1}, budget=least)
+        with pytest.raises(BudgetExceeded):
+            evaluate(host, f, {"x1": x1}, budget=least - 1)
+
+
 def test_unbound_variable():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unbound variable 'y'"):
         evaluate(EDGE3, parse("(= x y)", 3), {"x": 0})
+
+
+def test_unbound_variable_fails_only_when_reached():
+    assert evaluate(EDGE3, parse("(or (= x x) (= y z))", 3), {"x": 0})
+    with pytest.raises(ValueError, match="unbound variable 'y'"):
+        evaluate(EDGE3, parse("(or (not (= x x)) (= y z))", 3), {"x": 0})
+
+
+def test_arity_mismatch_at_evaluation():
+    atom = EdgeAtom(("x", "y", "z"))
+    edge2 = Hypergraph(2, 3, [(0, 1)])
+    env = {"x": 0, "y": 1, "z": 2}
+    with pytest.raises(ValueError,
+                       match="edge relation N takes 2 arguments here, got 3"):
+        evaluate(edge2, atom, env)
+    # an atom that short-circuiting skips is never checked
+    assert evaluate(edge2, Or((Equal("x", "x"), atom)), env)
+
+
+def test_quantifier_shadows_assigned_variable():
+    # the quantifier re-binds x; the outer (= x y) must see the assigned 0
+    for text in ("(and (exists x (not (= x y))) (= x y))",
+                 "(and (forall x (or (= x x) (= x y))) (= x y))"):
+        f = parse(text, 3)
+        assert evaluate(EDGE3, f, {"x": 0, "y": 0})
+        assert not evaluate(EDGE3, f, {"x": 1, "y": 0})
+        assert oracles.evaluate_naive(EDGE3, f, {"x": 0, "y": 0})
+
+
+def test_nested_quantifiers_over_one_name():
+    # after the inner exists x returns, N x y z reads the outer x again
+    f = parse("(exists x (and (exists x (= x y)) (N x y z)))", 3)
+    assert evaluate(EDGE3, f, {"y": 1, "z": 2})
+    assert evaluate(EDGE3, f, {"y": 1, "z": 2}) == oracles.evaluate_naive(
+        EDGE3, f, {"y": 1, "z": 2})
+    inner = parse("(forall x (exists x (= x x)))", 3)
+    assert evaluate(EDGE3, inner)
 
 
 def test_distance_formulas_on_loose_path():

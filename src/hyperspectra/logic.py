@@ -279,9 +279,6 @@ def evaluate(g: Hypergraph, f: Formula, assignment: dict[str, int] | None = None
     included) and raises BudgetExceeded when exhausted.
     """
     env = dict(assignment or {})
-    for name, vertex in env.items():
-        if not 0 <= vertex < g.n:
-            raise ValueError(f"assignment sends {name} to {vertex}, outside 0..{g.n - 1}")
     return compile_formula(f, g.s, tuple(env))(g, tuple(env.values()), budget)
 
 
@@ -380,6 +377,9 @@ def compile_formula(f: Formula, s: int, free: tuple[str, ...] = ()):
             raise ValueError(f"formula compiled for s={s}, host has s={g.s}")
         if len(values) != len(free):
             raise ValueError(f"expected {len(free)} values for {free}, got {len(values)}")
+        for name, vertex in zip(free, values):
+            if not 0 <= vertex < g.n:
+                raise ValueError(f"assignment sends {name} to {vertex}, outside 0..{g.n - 1}")
         env = [DEFAULT_EVAL_BUDGET if budget is None else budget,
                {frozenset(e) for e in g.edges}, range(g.n), *values]
         env.extend([0] * (width - len(env)))

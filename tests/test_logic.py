@@ -107,6 +107,10 @@ def test_compiled_formula_runs_on_many_hosts():
         check(Hypergraph(2, 3, []), (0,))
     with pytest.raises(ValueError, match="expected 1 values"):
         check(EDGE3)
+    with pytest.raises(ValueError, match="assignment sends x1 to 3, outside 0..2"):
+        check(EDGE3, (3,))
+    with pytest.raises(ValueError, match="assignment sends x1 to -1, outside 0..2"):
+        evaluate(EDGE3, f, {"x1": -1})
     with pytest.raises(TypeError, match="not a formula"):
         compile_formula(Or((Equal("x", "x"), "oops")), 3)
 

@@ -13,6 +13,7 @@ runs.  Evaluation is pure and budgeted in node visits.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -286,7 +287,8 @@ def _out_of_budget():
     raise BudgetExceeded("evaluation node-visit budget exhausted")
 
 
-def compile_formula(f: Formula, s: int, free: tuple[str, ...] = ()):
+def compile_formula(f: Formula, s: int,
+                    free: tuple[str, ...] = ()) -> Callable[..., bool]:
     """Compile f once into nested closures; returns check(g, values=(), budget=None).
 
     check runs f on an s-uniform host g with free[i] bound to values[i],
@@ -342,7 +344,7 @@ def compile_formula(f: Formula, s: int, free: tuple[str, ...] = ()):
                     if env[0] < 0:
                         _out_of_budget()
                     for inner in inners:
-                        if inner(env) is stop:
+                        if inner(env) == stop:
                             return stop
                     return not stop
             case Implies(left, right):
@@ -363,7 +365,7 @@ def compile_formula(f: Formula, s: int, free: tuple[str, ...] = ()):
                         _out_of_budget()
                     for x in env[2]:
                         env[k] = x
-                        if inner(env) is stop:
+                        if inner(env) == stop:
                             return stop
                     return not stop
             case _:

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -357,6 +358,16 @@ def test_evaluate_isomorphism_invariant(data):
     h = Hypergraph(3, g.n, [tuple(sorted(perm[x] for x in e)) for e in g.edges])
     penv = {name: perm[v] for name, v in env.items()}
     assert evaluate(g, f, env) == evaluate(h, f, penv)
+
+
+def test_numpy_vertices_in_assignment():
+    # numpy integers compare to numpy booleans, which must steer the
+    # short-circuits exactly as Python booleans do
+    env = {"x": np.int64(0), "y": np.int64(1)}
+    assert evaluate(EDGE3, parse("(or (= x y) (= x x))", 3), env)
+    assert not evaluate(EDGE3, parse("(and (= x y) (= x x))", 3), env)
+    assert evaluate(EDGE3, parse("(exists z (= x x))", 3), env)
+    assert not evaluate(EDGE3, parse("(forall z (= x y))", 3), env)
 
 
 def test_edge_atom_requires_distinct_vertices():

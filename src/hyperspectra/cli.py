@@ -169,13 +169,17 @@ def write_text(path: str, text: str):
 # artifact is what --out writes (defaults to the rendered doc).
 
 
+def parse_p(args) -> tuple[float | None, list[str]]:
+    """--p as a float (None when absent) and ["p"] if it was a decimal."""
+    if args.p is None:
+        return None, []
+    frac, dec = parse_rational(args.p)
+    return float(frac), ["p"] if dec else []
+
+
 def cmd_sample(args):
-    decimals = []
-    p = alpha = None
-    if args.p is not None:
-        frac, dec = parse_rational(args.p)
-        p = float(frac)
-        decimals += ["p"] if dec else []
+    p, decimals = parse_p(args)
+    alpha = None
     if args.alpha is not None:
         alpha, dec = parse_rational(args.alpha)
         decimals += ["alpha"] if dec else []
@@ -316,13 +320,13 @@ def cmd_sweep(args):
     cfg = ExperimentConfig(args.s, tuple(int_list(args.n)), prop, args.trials,
                            seed=args.seed, alpha=alphas[0],
                            out_path=args.out, jobs=args.jobs)
-    reports = sweep_alpha(cfg, alphas=alphas, coupled=args.coupled)
+    reports = sweep_alpha(cfg, alphas=alphas)
     cells = [{"n": r.n, "alpha": Fraction(r.alpha), "p": r.p,
               "trials": r.trials, "successes": r.successes,
               "estimate": r.estimate, "ci_lo": r.ci_lo, "ci_hi": r.ci_hi,
               "budget_exceeded": r.budget_exceeded} for r in reports]
     doc = {"schema": "hyperspectra.sweep.v1", "digest": cfg.digest(),
-           "property": prop.describe(), "coupled": args.coupled,
+           "property": prop.describe(), "coupled": True,
            "cells": cells, "decimal_inputs": sorted(decimals)}
     if args.format == "csv":
         return doc, csv_text(cfg.digest(), reports)
@@ -331,11 +335,7 @@ def cmd_sweep(args):
 
 def cmd_poisson(args):
     patterns = [load_hypergraph(path) for path in args.pattern]
-    p, decimals = None, []
-    if args.p is not None:
-        frac, dec = parse_rational(args.p)
-        p = float(frac)
-        decimals += ["p"] if dec else []
+    p, decimals = parse_p(args)
     rep = copy_count_distribution(patterns, args.n, args.trials, args.seed,
                                   p=p, cap=args.budget)
     doc = {"schema": "hyperspectra.poisson.v1", "n": rep.n, "p": rep.p,
@@ -361,11 +361,7 @@ def cmd_count_copies(args):
 
 def cmd_unextendable(args):
     pair = load_pair(args.infile)
-    p, decimals = None, []
-    if args.p is not None:
-        frac, dec = parse_rational(args.p)
-        p = float(frac)
-        decimals += ["p"] if dec else []
+    p, decimals = parse_p(args)
     rep = unextendable_copy_count(pair, args.n, args.trials, args.seed,
                                   p=p, cap=args.budget)
     doc = {"schema": "hyperspectra.unextendable.v1", "n": rep.n, "p": rep.p,
@@ -543,9 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--formula", help="inline closed formula as the property")
     sp.add_argument("--builtin", choices=["contains-edge"],
                     help="named built-in property")
-    sp.add_argument("--coupled", action=argparse.BooleanOptionalAction,
-                    default=True,
-                    help="share uniforms across alphas (variance reduction)")
 
     sp = sub("poisson", cmd_poisson,
              "copy-count distribution against the limiting Poisson law")

@@ -97,15 +97,15 @@ class PropertySpec:
             raise ValueError(f"builtin must be one of {BUILTIN_PROPERTIES}")
 
     def resolve(self, s: int):
-        """(checker, monotone flag); parse/validation errors surface here."""
+        """The checker, a predicate on hosts; parse/validation errors surface here."""
         if self.kind == "pattern":
             if self.pattern.s != s:
                 raise ValueError("pattern uniformity differs from the model")
             pat = self.pattern
-            return (lambda g: contains_copy(g, pat)), True
+            return lambda g: contains_copy(g, pat)
         if self.kind == "builtin":
-            return (lambda g: g.e > 0), True
-        return compile_formula(require_closed(parse(self.formula_text, s)), s), False
+            return lambda g: g.e > 0
+        return compile_formula(require_closed(parse(self.formula_text, s)), s)
 
     def describe(self) -> dict:
         if self.kind == "pattern":
@@ -175,27 +175,31 @@ class EstimateReport:
     digest: str
 
 
-def _cell_p(n: int, alpha, p) -> float:
-    return p_from_alpha(n, alpha) if p is None else p
+def _run_chunk(cfg: ExperimentConfig, n: int, ps, indices) -> list[tuple]:
+    """One row per trial: (seconds, outcome at each of ps).
 
-
-def _run_cell_chunk(cfg: ExperimentConfig, n: int, indices) -> list[TrialRecord]:
-    checker, _ = cfg.prop.resolve(cfg.s)
-    p = _cell_p(n, cfg.alpha, cfg.p)
-    records = []
+    A trial draws once at max(ps) and checks that draw thresholded at
+    every p; the draw at p keeps exactly the edges `sample` keeps at p.
+    An outcome is None when the draw or its check ran over the budget.
+    """
+    checker = cfg.prop.resolve(cfg.s)
+    rows = []
     for t in indices:
         start = time.perf_counter()
         try:
-            g = sample(ModelParams(cfg.s, n, p=p, seed=cfg.seed, trial_index=t))
-            outcome = bool(checker(g))
-            exceeded = False
+            gs = sample_coupled(
+                ModelParams(cfg.s, n, p=max(ps), seed=cfg.seed, trial_index=t), ps)
         except BudgetExceeded:
-            outcome = False
-            exceeded = True
-        records.append(TrialRecord(n, p, t, outcome,
-                                   time.perf_counter() - start,
-                                   exceeded, cfg.alpha))
-    return records
+            rows.append((time.perf_counter() - start, [None] * len(ps)))
+            continue
+        outcomes = []
+        for g in gs:
+            try:
+                outcomes.append(bool(checker(g)))
+            except BudgetExceeded:
+                outcomes.append(None)
+        rows.append((time.perf_counter() - start, outcomes))
+    return rows
 
 
 def _chunks(total: int, parts: int):
@@ -210,50 +214,46 @@ def _pool(cfg: ExperimentConfig):
     return ProcessPoolExecutor(max_workers=cfg.jobs)
 
 
-def _map_chunks(cfg: ExperimentConfig, pool, run, *args) -> list:
-    """run(cfg, *args, trials) per chunk of the trial range, in trial order:
-    the whole range in-process without a pool, else one chunk per worker."""
+def _run_trials(cfg: ExperimentConfig, pool, n: int, ps) -> list[tuple]:
+    """`_run_chunk` over every trial, in trial order: the whole range
+    in-process without a pool, else one chunk per worker."""
     if pool is None:
-        return [run(cfg, *args, range(cfg.trials))]
-    return list(pool.map(partial(run, cfg, *args), _chunks(cfg.trials, cfg.jobs)))
+        return _run_chunk(cfg, n, ps, range(cfg.trials))
+    parts = pool.map(partial(_run_chunk, cfg, n, ps), _chunks(cfg.trials, cfg.jobs))
+    return [row for part in parts for row in part]
 
 
-def _report_from_records(cfg: ExperimentConfig, n: int,
-                         records: list[TrialRecord],
-                         alpha=None) -> EstimateReport:
-    alpha = cfg.alpha if alpha is None else alpha
-    exceeded = sum(1 for r in records if r.budget_exceeded)
-    done = [r for r in records if not r.budget_exceeded]
-    successes = sum(1 for r in done if r.outcome)
-    estimate = successes / len(done) if done else 0.0
+def _report(cfg: ExperimentConfig, n: int, alpha, p: float, outcomes) -> EstimateReport:
+    done = [o for o in outcomes if o is not None]
+    successes = sum(done)
     lo, hi = wilson_interval(successes, len(done))
-    return EstimateReport(n, alpha, records[0].p if records else 0.0,
-                          len(done), successes, estimate, lo, hi,
-                          exceeded, cfg.digest())
+    return EstimateReport(n, alpha, p, len(done), successes,
+                          successes / len(done) if done else 0.0, lo, hi,
+                          len(outcomes) - len(done), cfg.digest())
 
 
 def estimate_probability(cfg: ExperimentConfig) -> EstimateReport:
     """Empirical probability that one (n, p) cell has the property."""
     if len(cfg.n_list) != 1:
         raise ValueError("estimate_probability wants exactly one n; use sweep_alpha")
-    with _pool(cfg) as pool:
-        return _estimate(cfg, pool)
-
-
-def _estimate(cfg: ExperimentConfig, pool) -> EstimateReport:
     n = cfg.n_list[0]
-    records = [r for part in _map_chunks(cfg, pool, _run_cell_chunk, n) for r in part]
+    p = p_from_alpha(n, cfg.alpha) if cfg.p is None else cfg.p
+    with _pool(cfg) as pool:
+        rows = _run_trials(cfg, pool, n, [p])
+    outcomes = [o for _, (o,) in rows]
     if cfg.out_path:
+        records = [TrialRecord(n, p, t, bool(o), seconds, o is None, cfg.alpha)
+                   for t, (seconds, (o,)) in enumerate(rows)]
         save_jsonl(cfg.out_path, cfg, records, append=True)
-    return _report_from_records(cfg, n, records)
+    return _report(cfg, n, cfg.alpha, p, outcomes)
 
 
-def sweep_alpha(cfg: ExperimentConfig, alphas=None,
-                coupled: bool = True) -> list[EstimateReport]:
+def sweep_alpha(cfg: ExperimentConfig, alphas=None) -> list[EstimateReport]:
     """One estimate per (n, alpha) grid cell, coupling trials across alpha.
 
-    With coupling on, all cells of a trial share one uniform stream, so
+    Each trial draws once and thresholds that draw at every exponent, so
     containment indicators are non-increasing in alpha within a trial.
+    Each cell counts what `estimate_probability` counts at its alpha.
     """
     if alphas is None:
         if cfg.alpha is None:
@@ -263,52 +263,15 @@ def sweep_alpha(cfg: ExperimentConfig, alphas=None,
     for a in alphas:
         if a <= 0:
             raise ValueError(f"grid exponent {a} must be positive")
-    _, monotone = cfg.prop.resolve(cfg.s)
+    reports = []
     with _pool(cfg) as pool:
-        if not coupled or not monotone or len(alphas) == 1:
-            reports = [_estimate(ExperimentConfig(cfg.s, (n,), cfg.prop, cfg.trials,
-                                                  cfg.seed, alpha=a, jobs=cfg.jobs), pool)
-                       for n in cfg.n_list for a in alphas]
-        else:
-            reports = _sweep_coupled(cfg, alphas, pool)
+        for n in cfg.n_list:
+            ps = [p_from_alpha(n, a) for a in alphas]
+            rows = _run_trials(cfg, pool, n, ps)
+            reports += [_report(cfg, n, a, p, [outcomes[i] for _, outcomes in rows])
+                        for i, (a, p) in enumerate(zip(alphas, ps))]
     if cfg.out_path:
         save_csv(cfg.out_path, cfg.digest(), reports)
-    return reports
-
-
-def _run_coupled_chunk(cfg: ExperimentConfig, n: int, ps, indices) -> list[list[int]]:
-    """[successes, done, budget_exceeded] per probability over one chunk."""
-    checker, _ = cfg.prop.resolve(cfg.s)
-    counts = [[0, 0, 0] for _ in ps]
-    for t in indices:
-        try:
-            gs = sample_coupled(
-                ModelParams(cfg.s, n, p=max(ps), seed=cfg.seed, trial_index=t), ps)
-        except BudgetExceeded:
-            for c in counts:
-                c[2] += 1
-            continue
-        for c, g in zip(counts, gs):
-            try:
-                c[0] += bool(checker(g))
-                c[1] += 1
-            except BudgetExceeded:
-                c[2] += 1
-    return counts
-
-
-def _sweep_coupled(cfg: ExperimentConfig, alphas, pool) -> list[EstimateReport]:
-    digest = cfg.digest()
-    reports = []
-    for n in cfg.n_list:
-        ps = [p_from_alpha(n, a) for a in alphas]
-        parts = _map_chunks(cfg, pool, _run_coupled_chunk, n, ps)
-        for i, (a, p) in enumerate(zip(alphas, ps)):
-            successes, done, exceeded = (sum(col) for col in zip(*(c[i] for c in parts)))
-            lo, hi = wilson_interval(successes, done)
-            reports.append(EstimateReport(
-                n, a, p, done, successes, successes / done if done else 0.0,
-                lo, hi, exceeded, digest))
     return reports
 
 

@@ -138,12 +138,16 @@ def sample_coupled(params: ModelParams, ps, budget: int | None = None) -> list[H
     The stream is thresholded once, at the largest probability, and the
     kept words are filtered for each smaller one.  The draws are
     monotone-coupled: whenever ps[i] <= ps[j], the i-th edge set is a
-    subset of the j-th.
+    subset of the j-th.  As with `sample`, all probabilities 0 (or none
+    given) read no stream and skip the budget check.
     """
     ps = list(ps)
     for q in ps:
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"edge probability must be in [0, 1], got {q}")
-    ranks, words = _kept(params, max(ps, default=0.0), budget)
+    top = max(ps, default=0.0)
+    if top == 0.0:
+        return [Hypergraph(params.s, params.n, []) for _ in ps]
+    ranks, words = _kept(params, top, budget)
     edges = _unrank(ranks, params.n, params.s)
     return [Hypergraph(params.s, params.n, edges[_below(words, q)].tolist()) for q in ps]

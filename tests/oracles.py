@@ -13,13 +13,15 @@ from typing import Optional
 
 import numpy as np
 
-from hyperspectra.errors import (CapExceeded, DegeneratePair, DEFAULT_PAIR_CAP,
-                                 enum_cap)
+from hyperspectra.errors import (BudgetExceeded, CapExceeded, DegeneratePair,
+                                 DEFAULT_PAIR_CAP, enum_cap)
+from hyperspectra.experiments import EstimateReport, wilson_interval
 from hyperspectra.extensions import PairClass, RootedPair, pair_density
 from hyperspectra.game import DUPLICATOR, SPOILER, _check_budget, extends_partial_iso
-from hyperspectra.hypergraph import Hypergraph
+from hyperspectra.hypergraph import Hypergraph, contains_copy
 from hyperspectra.logic import (And, EdgeAtom, Equal, Exists, Forall, Formula,
-                                Implies, Not, Or)
+                                Implies, Not, Or, evaluate, parse)
+from hyperspectra.sampling import ModelParams, p_from_alpha, sample
 
 
 def brute_max_density(g: Hypergraph) -> Fraction:
@@ -111,6 +113,47 @@ def float_threshold_sample(params, ps) -> list[Hypergraph]:
     colex = sorted(combinations(range(params.n), params.s), key=lambda e: e[::-1])
     return [Hypergraph(params.s, params.n, [e for e, x in zip(colex, u) if x < p])
             for p in ps]
+
+
+def independent_cells(cfg, alphas=None) -> list[EstimateReport]:
+    """Monte Carlo estimates with one fresh `sample` per (cell, trial).
+
+    Cells run n-major over `alphas`, or over the config's own alpha or p
+    when no grid is given.  Each draw is checked directly (containment,
+    any edge, or evaluating the sentence), and a draw or check that runs
+    over its budget is counted apart from the completed trials.
+    """
+    prop = cfg.prop
+    if prop.kind == "pattern":
+        def check(g):
+            return contains_copy(g, prop.pattern)
+    elif prop.kind == "builtin":
+        def check(g):
+            return g.e > 0
+    else:
+        sentence = parse(prop.formula_text, cfg.s)
+
+        def check(g):
+            return evaluate(g, sentence)
+    grid = [(cfg.alpha, cfg.p)] if alphas is None else [(Fraction(a), None) for a in alphas]
+    reports = []
+    for n in cfg.n_list:
+        for alpha, p in grid:
+            p = p_from_alpha(n, alpha) if p is None else p
+            successes = done = 0
+            for t in range(cfg.trials):
+                try:
+                    hit = check(sample(ModelParams(cfg.s, n, p=p, seed=cfg.seed,
+                                                   trial_index=t)))
+                except BudgetExceeded:
+                    continue
+                done += 1
+                successes += bool(hit)
+            lo, hi = wilson_interval(successes, done)
+            reports.append(EstimateReport(n, alpha, p, done, successes,
+                                          successes / done if done else 0.0,
+                                          lo, hi, cfg.trials - done, cfg.digest()))
+    return reports
 
 
 def random_formula(rng, s: int, depth: int, pool=("x", "y", "z", "u", "v")):

@@ -312,6 +312,14 @@ class TestSubcommands:
         assert doc["csv_summary"]["fields"][0] == "n"
         assert "sample" in doc["documents"]
 
+    def test_sweep_document_matches_schema(self, files, capsys):
+        keys = run_json(["schema-dump"], capsys)["documents"]["sweep"]
+        doc = run_json(["sweep", "--s", "3", "--n", "10", "--alphas", "2,3",
+                        "--trials", "4", "--builtin", "contains-edge"], capsys)
+        assert sorted(doc) == sorted(keys)
+        # every sweep thresholds one draw per trial at all of its exponents
+        assert doc["coupled"] is True
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, files, capsys):
@@ -327,14 +335,13 @@ class TestDeterminism:
             _, second, _ = run(argv, capsys)
             assert first == second, argv
 
-    @pytest.mark.parametrize("coupling", ["--coupled", "--no-coupled"])
-    def test_sweep_jobs_byte_identical(self, files, capsys, tmp_path, coupling):
+    def test_sweep_jobs_byte_identical(self, files, capsys, tmp_path):
         base = ["sweep", "--s", "3", "--n", "14,20", "--alphas", "3/2,2,5/2",
                 "--trials", "11", "--pattern", files.path5, "--seed", "4",
-                "--format", "csv", coupling]
+                "--format", "csv"]
         texts, written = {}, {}
         for jobs in ("1", "2"):
-            out = tmp_path / f"sweep{coupling}{jobs}.csv"
+            out = tmp_path / f"sweep{jobs}.csv"
             code, texts[jobs], err = run(base + ["--jobs", jobs, "--out", str(out)], capsys)
             assert code == 0, err
             written[jobs] = out.read_bytes()

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperspectra.errors import HypothesisViolated, ParseError
+from hyperspectra.errors import BudgetExceeded, HypothesisViolated, ParseError
 from hyperspectra.experiments import (
     CSV_FIELDS,
     ExperimentConfig,
@@ -26,7 +26,7 @@ from hyperspectra.experiments import (
     wilson_interval,
 )
 from hyperspectra.extensions import RootedPair
-from hyperspectra.hypergraph import Hypergraph, count_copies
+from hyperspectra.hypergraph import Hypergraph, contains_copy, count_copies
 from hyperspectra.sampling import ModelParams, sample
 
 import oracles
@@ -233,15 +233,7 @@ class TestSweep:
         assert list(rows[0]) == CSV_FIELDS
         assert rows[0]["alpha"] == "2"
 
-    def test_uncoupled_same_shape(self):
-        cfg = ExperimentConfig(3, (20,),
-                               PropertySpec("pattern", pattern=LOOSE_PATH),
-                               20, seed=5, alpha=Fraction(2))
-        reports = sweep_alpha(cfg, [Fraction(2), Fraction(3)], coupled=False)
-        assert [r.alpha for r in reports] == [Fraction(2), Fraction(3)]
-
-    @pytest.mark.parametrize("coupled", [True, False])
-    def test_one_pool_per_sweep(self, monkeypatch, coupled):
+    def test_one_pool_per_sweep(self, monkeypatch):
         from hyperspectra import experiments
         pools = []
 
@@ -254,11 +246,87 @@ class TestSweep:
         cfg = ExperimentConfig(3, (12, 16), PropertySpec("pattern", pattern=LOOSE_PATH),
                                6, seed=5, alpha=Fraction(2), jobs=2)
         grid = [Fraction(2), Fraction(5, 2), Fraction(3)]
-        reports = sweep_alpha(cfg, grid, coupled=coupled)
+        reports = sweep_alpha(cfg, grid)
         assert pools == [{"max_workers": 2}]
         serial = ExperimentConfig(3, (12, 16), PropertySpec("pattern", pattern=LOOSE_PATH),
                                   6, seed=5, alpha=Fraction(2))
-        assert reports == sweep_alpha(serial, grid, coupled=coupled)
+        assert reports == sweep_alpha(serial, grid)
+
+
+ORACLE_PROPERTIES = [PropertySpec("pattern", pattern=LOOSE_PATH),
+                     PropertySpec("builtin", builtin="contains-edge"),
+                     PropertySpec("formula", formula_text=LOOSE_TRIANGLE)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("prop", ORACLE_PROPERTIES, ids=lambda prop: prop.kind)
+class TestIndependentCells:
+    """Every cell equals the estimate from one fresh `sample` per cell and
+    trial: thresholding one draw per trial changes no result."""
+
+    def test_sweep(self, prop, jobs):
+        cfg = ExperimentConfig(3, (9, 14), prop, 16, seed=6, alpha=Fraction(2), jobs=jobs)
+        grid = [Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3)]
+        reports = sweep_alpha(cfg, grid)
+        assert reports == oracles.independent_cells(cfg, grid)
+        assert any(0 < r.successes < r.trials for r in reports)
+
+    def test_estimate(self, prop, jobs):
+        reports = []
+        for cfg in (ExperimentConfig(3, (14,), prop, 16, seed=6, alpha=Fraction(3, 2), jobs=jobs),
+                    ExperimentConfig(3, (9,), prop, 16, seed=6, p=0.02, jobs=jobs)):
+            reports.append(estimate_probability(cfg))
+            assert reports[-1:] == oracles.independent_cells(cfg)
+        assert any(0 < r.successes < r.trials for r in reports)
+
+
+class TestBudget:
+    """C(400, 3) = 10,586,800 potential edges exceed the sampler's default
+    budget of 10^7; C(20, 3) = 1,140 do not."""
+
+    EDGE = PropertySpec("builtin", builtin="contains-edge")
+
+    def test_estimate_counts_every_trial_over_budget(self, tmp_path):
+        path = tmp_path / "trials.jsonl"
+        rep = estimate_probability(ExperimentConfig(3, (400,), self.EDGE, 5, seed=1,
+                                                    alpha=Fraction(2), out_path=str(path)))
+        assert (rep.trials, rep.successes, rep.budget_exceeded) == (0, 0, 5)
+        assert (rep.estimate, rep.ci_lo, rep.ci_hi) == (0.0, 0.0, 1.0)
+        _, records = load_jsonl(path)
+        assert [(r.trial_index, r.outcome, r.budget_exceeded) for r in records] == \
+            [(t, False, True) for t in range(5)]
+
+    def test_sweep_hits_only_the_large_n(self):
+        cfg = ExperimentConfig(3, (400, 20), self.EDGE, 4, seed=1, alpha=Fraction(2))
+        reports = sweep_alpha(cfg, [Fraction(2), Fraction(3)])
+        assert [(r.n, r.trials, r.budget_exceeded) for r in reports] == \
+            [(400, 0, 4), (400, 0, 4), (20, 4, 0), (20, 4, 0)]
+
+    def test_zero_probability_draws_nothing(self):
+        rep = estimate_probability(ExperimentConfig(3, (400,), self.EDGE, 5, seed=1, p=0.0))
+        assert (rep.trials, rep.successes, rep.budget_exceeded) == (5, 0, 0)
+
+    def test_checker_over_budget(self, monkeypatch):
+        # a containment check that runs out on hosts of 3 or more edges:
+        # only the dense cells lose trials, and only the trials it ran out on
+        from hyperspectra import experiments
+
+        def capped(host, pattern):
+            if host.e >= 3:
+                raise BudgetExceeded("check over budget")
+            return contains_copy(host, pattern)
+
+        cfg = pattern_cfg(LOOSE_PATH, 14, 20, 6, alpha=Fraction(2))
+        grid = [Fraction(3, 2), Fraction(2), Fraction(3)]
+        want = oracles.independent_cells(cfg, grid)
+        monkeypatch.setattr(experiments, "contains_copy", capped)
+        reports = sweep_alpha(cfg, grid)
+        hosts = [[sample(ModelParams(3, 14, p=r.p, seed=6, trial_index=t)).e
+                  for t in range(20)] for r in want]
+        assert [r.budget_exceeded for r in reports] == \
+            [sum(e >= 3 for e in row) for row in hosts]
+        assert reports[0].budget_exceeded > 0 and reports[-1].budget_exceeded == 0
+        assert reports[-1] == want[-1]
 
 
 class TestCopyCounts:

@@ -14,6 +14,7 @@ import pytest
 
 from hyperspectra import sampling
 from hyperspectra.errors import BudgetExceeded
+from hyperspectra.hypergraph import Hypergraph
 from hyperspectra.sampling import ModelParams, p_from_alpha, sample, sample_coupled
 
 import oracles
@@ -88,18 +89,25 @@ def test_edge_budget_enforced():
 
 
 def test_coupled_nested():
-    params = ModelParams(s=3, n=15, p=0.5, seed=21)
+    p_list = [0.05, 0.2, 0.5, 0.9]
     for trial in range(30):
-        p_list = [0.05, 0.2, 0.5, 0.9]
         gs = sample_coupled(
             ModelParams(s=3, n=15, p=0.5, seed=21, trial_index=trial), p_list)
         assert len(gs) == len(p_list)
         for lo, hi in zip(gs, gs[1:]):
             assert set(lo.edges) <= set(hi.edges)
-    # marginal law matches sample() at the same p
-    single = sample(params)
-    coupled_at_p = sample_coupled(params, [0.5])[0]
-    assert single.s == coupled_at_p.s and single.n == coupled_at_p.n
+        # each draw is exactly sample() at its own p, edge for edge
+        for p, g in zip(p_list, gs):
+            assert g == sample(ModelParams(s=3, n=15, p=p, seed=21, trial_index=trial))
+
+
+def test_coupled_zero_probability_skips_budget():
+    # C(400, 3) exceeds the edge budget, but nothing is drawn at p = 0
+    params = ModelParams(s=3, n=400, p=0.0, seed=4)
+    assert sample_coupled(params, [0.0, 0.0]) == [Hypergraph(3, 400, [])] * 2
+    assert sample_coupled(params, []) == []
+    with pytest.raises(BudgetExceeded):
+        sample_coupled(params, [0.0, 1e-9])
 
 
 def test_coupled_order_free():

@@ -8,6 +8,7 @@ total-variation gap, which should shrink as n grows.
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
 import sys
 
@@ -43,4 +44,12 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (say `| head`): stop quietly, and send the
+        # rest of stdout to devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

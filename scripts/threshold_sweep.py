@@ -8,6 +8,7 @@ across the grid, so each trial contributes a monotone indicator row.
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
 import sys
 from fractions import Fraction
@@ -56,4 +57,12 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (say `| head`): stop quietly, and send the
+        # rest of stdout to devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, NotInFamily, NoWitness, enum_cap, DEFAULT_DECOMP_CAP
-from .hypergraph import Edge, Hypergraph, max_density
+from .hypergraph import Edge, Hypergraph, max_density, max_density_below
 
 State = tuple[frozenset[int], frozenset[Edge]]
 
@@ -145,7 +145,7 @@ def is_cyclic_m_extension(g: Hypergraph, h_vertices, h_edges, m: int) -> bool:
             raise ValueError(f"base edge {e} leaves the base vertex set")
     new_vs = frozenset(range(g.n)) - h_vs
     new_es = frozenset(g.edges) - h_es
-    if max_density(g)[0] >= density_bound(g.s, m):
+    if not max_density_below(g, density_bound(g.s, m)):
         return False
     for move in extension_moves(g.s, set(g.edges), (h_vs, h_es), m):
         if frozenset(move.new_vertices) == new_vs and frozenset(move.new_edges) == new_es:
@@ -165,7 +165,7 @@ def find_cyclic_m_extensions(host: Hypergraph, h_vertices, h_edges, m: int,
             continue
         grown = _as_abstract(host.s, h_vs | set(move.new_vertices),
                              h_es | set(move.new_edges))
-        if max_density(grown)[0] < density_bound(host.s, m):
+        if max_density_below(grown, density_bound(host.s, m)):
             found.append(move)
     found.sort(key=lambda mv: (mv.case, mv.new_edges))
     return found
@@ -187,9 +187,9 @@ def m_decomposition(g: Hypergraph, m: int,
         raise NotInFamily("the empty hypergraph is not a family member")
     if g.n == 1 and g.e == 0:
         return []
-    if max_density(g)[0] >= density_bound(g.s, m):
-        raise NotInFamily(
-            f"max density {max_density(g)[0]} is not below {density_bound(g.s, m)}")
+    bound = density_bound(g.s, m)
+    if not max_density_below(g, bound):
+        raise NotInFamily(f"max density {max_density(g)[0]} is not below {bound}")
 
     all_edges = set(g.edges)
     target: State = (frozenset(range(g.n)), frozenset(g.edges))
@@ -249,7 +249,7 @@ def random_family_member(s: int, m: int, rng: random.Random,
         if len(cand_vs) > max_vertices:
             continue
         cand = _as_abstract(s, frozenset(cand_vs), frozenset(cand_es))
-        if max_density(cand)[0] < bound:
+        if max_density_below(cand, bound):
             vs, es = cand_vs, cand_es
             grown = True
     if not grown:

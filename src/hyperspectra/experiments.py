@@ -23,7 +23,7 @@ from typing import Optional, Union
 
 from .bounds import unextendable_poisson_rate
 from .errors import BudgetExceeded, HypothesisViolated
-from .extensions import RootedPair, strict_extensions
+from .extensions import RootedPair, _strict_search
 from . import hypergraph
 from .hypergraph import (Hypergraph, _embedding_search, automorphism_count,
                          contains_copy, density, is_strictly_balanced)
@@ -376,8 +376,7 @@ def count_unextendable_copies(host: Hypergraph, pair: RootedPair,
                frozenset(tuple(sorted(phi[v] for v in e)) for e in h.edges))
         if status.get(key):
             continue
-        ext = strict_extensions(host, phi[:pair.roots], pair, cap=cap)
-        status[key] = bool(ext)
+        status[key] = bool(_strict_search(host, phi[:pair.roots], pair, "exists", cap))
     return sum(1 for ok in status.values() if not ok)
 
 

@@ -244,6 +244,15 @@ def strict_extensions(host: Hypergraph, root_tuple, pair: RootedPair,
     Pattern edges wholly inside the root set can never satisfy the
     second direction, so those pairs admit no extensions at all.
     """
+    placements = _strict_search(host, root_tuple, pair, "collect", cap, forbidden)
+    return sorted(t[pair.roots:] for t in placements)
+
+
+def _strict_search(host: Hypergraph, root_tuple, pair: RootedPair, mode: str,
+                   cap: int | None = None, forbidden=frozenset()):
+    """The matcher behind `strict_extensions`, in `mode` "collect" (full
+    image tuples, roots first) or "exists" (0 or 1), after its argument
+    and cap checks and its trivial cases."""
     if host.s != pair.g.s:
         raise ValueError("host and pair must share the same uniformity")
     root_tuple = tuple(root_tuple)
@@ -259,16 +268,14 @@ def strict_extensions(host: Hypergraph, root_tuple, pair: RootedPair,
         raise CapExceeded(f"pair adds {pair.v_diff} vertices, extension cap is {limit}")
 
     pattern = pair.pattern_edges
-    if any(e[-1] < pair.roots for e in pattern):
-        return []
-    if pair.v_diff == 0:
-        return [()] if not pattern else []
-
-    placements = _embedding_search(host, Hypergraph(host.s, pair.g.n, pattern), "collect",
-                                   strict=True, roots=root_tuple, forbidden=forbidden)
-    out = [t[pair.roots:] for t in placements]
-    out.sort()
-    return out
+    if any(e[-1] < pair.roots for e in pattern) or (pair.v_diff == 0 and pattern):
+        found = []
+    elif pair.v_diff == 0:
+        found = [root_tuple]
+    else:
+        return _embedding_search(host, Hypergraph(host.s, pair.g.n, pattern), mode,
+                                 strict=True, roots=root_tuple, forbidden=forbidden)
+    return found if mode == "collect" else len(found)
 
 
 def is_kt_maximal(host: Hypergraph, gtilde_vertices, htilde_vertices,

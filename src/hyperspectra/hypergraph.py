@@ -165,17 +165,28 @@ def _density_flow(g: Hypergraph, q: Fraction) -> tuple[FlowNetwork, bool]:
     costs b * (e(G) - e(W)) + a * |W|, so the flow falls short of
     b * e(G) iff some nonempty W has e(W)/|W| > q.  Returns the network
     after the flow and whether it fell short.
+
+    Each edge first sends its b units straight into its vertices' spare
+    sink capacity, first come first served; Dinic augments the rest.
+    Which maximum flow comes out does not matter: the residual graph of
+    every maximum flow has the same closed sets, the minimum cuts
+    (Picard & Queyranne 1980).
     """
     a, b = q.numerator, q.denominator
     net = FlowNetwork(2 + g.e + g.n)
     vnode = 2 + g.e
     inf = b * g.e + a * g.n + 1
+    spare = [a] * g.n
     for i, e in enumerate(g.edges):
-        net.add_edge(0, 2 + i, b)
+        left = b
         for x in e:
-            net.add_edge(2 + i, vnode + x, inf)
+            give = min(left, spare[x])
+            spare[x] -= give
+            left -= give
+            net.add_edge(2 + i, vnode + x, inf, give)
+        net.add_edge(0, 2 + i, b, b - left)
     for x in range(g.n):
-        net.add_edge(vnode + x, 1, a)
+        net.add_edge(vnode + x, 1, a, a - spare[x])
     return net, net.max_flow(0, 1) < b * g.e
 
 
@@ -222,6 +233,26 @@ def is_strictly_balanced(g: Hypergraph) -> bool:
     middle = range(2, 2 + g.e + g.n)
     return (net.reachable(2).issuperset(middle)
             and net.reachable(2, backward=True).issuperset(middle))
+
+
+def max_density_below(g: Hypergraph, q: Fraction) -> bool:
+    """True iff every nonempty W has e(W)/|W| < q; the same answer as
+    max_density(g)[0] < q, from one max-flow at q.
+
+    If the flow falls short, some W is denser than q.  Otherwise every
+    source arc is saturated, and a nonempty W with e(W)/|W| = q is the
+    vertex part of a minimum cut, that is of a closed residual set
+    without the sink: there is one iff some vertex node cannot reach the
+    sink in the residual graph.
+    """
+    if g.n == 0:
+        raise ValueError("max_density undefined on the empty vertex set")
+    if q <= 0:
+        return False  # every W has e(W)/|W| >= 0
+    net, short = _density_flow(g, q)
+    if short:
+        return False
+    return net.reachable(1, backward=True).issuperset(range(2 + g.e, 2 + g.e + g.n))
 
 
 def _complement(g: Hypergraph) -> Hypergraph:

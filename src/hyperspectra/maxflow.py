@@ -12,52 +12,76 @@ class FlowNetwork:
     def __init__(self, n: int):
         self.n = n
         self.adj: list[list[list[int]]] = [[] for _ in range(n)]
+        self.outflow = [0] * n  # net flow leaving each node
 
-    def add_edge(self, u: int, v: int, cap: int) -> None:
-        # arc layout: [to, capacity, index of reverse arc in adj[to]]
-        self.adj[u].append([v, cap, len(self.adj[v])])
-        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
+    def add_edge(self, u: int, v: int, cap: int, flow: int = 0) -> None:
+        """Arc u -> v of capacity cap, already carrying `flow` (0 <= flow <=
+        cap).  Preset flows must conserve flow at every node but the
+        source and the sink; `max_flow` augments from there."""
+        # arc layout: [to, residual capacity, index of reverse arc in adj[to]]
+        self.adj[u].append([v, cap - flow, len(self.adj[v])])
+        self.adj[v].append([u, flow, len(self.adj[u]) - 1])
+        self.outflow[u] += flow
+        self.outflow[v] -= flow
 
     def _bfs(self, s: int, t: int) -> list[int] | None:
+        """Levels by residual distance from s, or None if t is out of
+        reach.  Stops once t is labelled: every node nearer than t is
+        labelled by then, and no shortest path uses the others."""
         level = [-1] * self.n
         level[s] = 0
         queue = deque([s])
         while queue:
             u = queue.popleft()
-            for arc in self.adj[u]:
-                v, cap, _ = arc
+            up = level[u] + 1
+            for v, cap, _ in self.adj[u]:
                 if cap > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
+                    level[v] = up
+                    if v == t:
+                        return level
                     queue.append(v)
-        return level if level[t] >= 0 else None
+        return None
 
-    def _dfs(self, u: int, t: int, pushed: int, level: list[int], it: list[int]) -> int:
+    def _dfs(self, u: int, t: int, limit: int, level: list[int], it: list[int]) -> int:
+        """Push up to `limit` units from u to t along arcs that go one level
+        up, and return how much went.  it[u] is u's current arc: the arcs
+        before it are saturated or lead nowhere in this phase, so a whole
+        blocking flow takes one call from the source."""
         if u == t:
-            return pushed
-        while it[u] < len(self.adj[u]):
-            arc = self.adj[u][it[u]]
+            return limit
+        adj = self.adj
+        arcs = adj[u]
+        up = level[u] + 1
+        pushed = 0
+        i, end = it[u], len(arcs)
+        while i < end:
+            arc = arcs[i]
             v, cap, rev = arc
-            if cap > 0 and level[v] == level[u] + 1:
-                got = self._dfs(v, t, min(pushed, cap), level, it)
-                if got > 0:
-                    arc[1] -= got
-                    self.adj[v][rev][1] += got
-                    return got
-            it[u] += 1
-        return 0
+            if cap > 0 and level[v] == up:
+                got = self._dfs(v, t, min(limit - pushed, cap), level, it)
+                if got:
+                    arc[1] = cap - got
+                    adj[v][rev][1] += got
+                    pushed += got
+                    if pushed == limit:
+                        break  # the arc may have room left: keep it current
+            i += 1
+        it[u] = i
+        return pushed
 
     def max_flow(self, s: int, t: int) -> int:
-        flow = 0
+        """Augment to a maximum s -> t flow and return its value, flow
+        preset by `add_edge` included."""
+        total = 0
         while True:
             level = self._bfs(s, t)
             if level is None:
-                return flow
-            it = [0] * self.n
-            while True:
-                pushed = self._dfs(s, t, 1 << 62, level, it)
-                if pushed == 0:
-                    break
-                flow += pushed
+                break
+            limit = sum(arc[1] for arc in self.adj[s])
+            total += self._dfs(s, t, limit, level, [0] * self.n)
+        self.outflow[s] += total
+        self.outflow[t] -= total
+        return self.outflow[s]
 
     def reachable(self, start: int, backward: bool = False) -> set[int]:
         """Nodes reachable from start in the residual graph.

@@ -46,6 +46,25 @@ def brute_is_strictly_balanced(g: Hypergraph) -> bool:
     return True
 
 
+def brute_min_cut(n: int, arcs, s: int, t: int) -> tuple[int, frozenset[int]]:
+    """Minimum s-t cut of a network on at most 10 nodes, by trying every
+    source side.  `arcs` holds (u, v, capacity).  Returns the cut value
+    and the smallest minimum source side: the intersection of all of
+    them, itself a minimum source side."""
+    assert n <= 10, "2^(n-2) source sides"
+    others = [x for x in range(n) if x not in (s, t)]
+    best, smallest = None, None
+    for size in range(len(others) + 1):
+        for extra in itertools.combinations(others, size):
+            side = frozenset((s,) + extra)
+            cut = sum(c for u, v, c in arcs if u in side and v not in side)
+            if best is None or cut < best:
+                best, smallest = cut, side
+            elif cut == best:
+                smallest &= side
+    return best, smallest
+
+
 def brute_embedding_count(host: Hypergraph, pattern: Hypergraph) -> int:
     count = 0
     for perm in itertools.permutations(range(host.n), pattern.n):

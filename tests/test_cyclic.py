@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from hyperspectra import cyclic
 from hyperspectra.cyclic import (
     density_bound,
     find_cyclic_m_extensions,
@@ -105,6 +106,23 @@ class TestDecomposition:
         dense = Hypergraph(3, 4, list(itertools.combinations(range(4), 3)))
         with pytest.raises(NotInFamily):
             m_decomposition(dense, 3)
+
+    def test_density_rejection_measures_once(self, monkeypatch):
+        # max_density is only asked for the message, once; a member never asks
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return max_density(g)
+
+        monkeypatch.setattr(cyclic, "max_density", counted)
+        dense = Hypergraph(3, 4, list(itertools.combinations(range(4), 3)))
+        with pytest.raises(NotInFamily) as exc:
+            m_decomposition(dense, 3)
+        assert str(exc.value) == "max density 1 is not below 3/5"
+        assert len(calls) == 1
+        m_decomposition(Hypergraph(3, 6, CYCLE3), 3)
+        assert len(calls) == 1
 
     def test_disconnected_not_in_family(self):
         g = Hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)])

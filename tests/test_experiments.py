@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from hyperspectra.errors import BudgetExceeded, HypothesisViolated, ParseError
+from hyperspectra.errors import (BudgetExceeded, CapExceeded, HypothesisViolated,
+                                 ParseError)
 from hyperspectra.experiments import (
     CSV_FIELDS,
     ExperimentConfig,
@@ -422,6 +423,25 @@ class TestUnextendable:
             unextendable += want > 0
             extendable += want < copies
         assert unextendable >= 10 and extendable >= 10
+
+    def test_mixed_hosts_match_bruteforce(self):
+        # hosts where some copies of the root edge extend and others do
+        # not, so every copy runs its own extension check
+        rng = random.Random(31)
+        mixed = 0
+        for _ in range(40):
+            n = rng.randint(7, 9)
+            host = oracles.random_hypergraph(rng, 3, n, rng.uniform(0.05, 0.15))
+            want = oracles.brute_unextendable_copies(host, UNEXT_PAIR)
+            assert count_unextendable_copies(host, UNEXT_PAIR) == want
+            mixed += 0 < want < host.e
+        assert mixed >= 10
+
+    def test_cap(self):
+        host = Hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)])
+        assert count_unextendable_copies(host, UNEXT_PAIR, cap=3) == 0
+        with pytest.raises(CapExceeded, match="extension cap is 2"):
+            count_unextendable_copies(host, UNEXT_PAIR, cap=2)
 
     def test_zero_probability(self):
         rep = unextendable_copy_count(UNEXT_PAIR, 40, 30, seed=2, p=0.0)

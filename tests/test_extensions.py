@@ -21,6 +21,7 @@ from hyperspectra.extensions import (
     pair_max_density,
     strict_extensions,
 )
+from hyperspectra.extensions import _strict_search
 from hyperspectra.hypergraph import Hypergraph, density
 
 import oracles
@@ -289,6 +290,40 @@ class TestStrictExtensions:
             got = strict_extensions(host, root_tuple, pair, forbidden=forbidden)
             want = oracles.brute_strict_extensions(host, root_tuple, pair, forbidden)
             assert got == want
+
+    def test_exists_matches_bruteforce(self):
+        rng = random.Random(23)
+        verdicts = {0: 0, 1: 0}
+        for _ in range(200):
+            host = oracles.random_hypergraph(rng, 3, rng.randint(4, 7), rng.random())
+            n_pair = rng.randint(2, 5)
+            roots = rng.randint(1, n_pair - 1)
+            g = oracles.random_hypergraph(rng, 3, n_pair, rng.random())
+            pair = RootedPair(g, roots, [e for e in g.edges if e[-1] < roots])
+            root_tuple = tuple(rng.sample(range(host.n), roots))
+            forbidden = set(rng.sample(range(host.n), rng.randint(0, 2)))
+            got = _strict_search(host, root_tuple, pair, "exists", forbidden=forbidden)
+            want = oracles.brute_strict_extensions(host, root_tuple, pair, forbidden)
+            assert got == int(bool(want))
+            verdicts[got] += 1
+        assert min(verdicts.values()) >= 40, verdicts
+
+    def test_exists_trivial_cases(self):
+        inside = RootedPair(Hypergraph(3, 4, [(0, 1, 2)]), 3)
+        assert _strict_search(complete(3, 6), (0, 1, 2), inside, "exists") == 0
+        nothing_added = RootedPair(Hypergraph(3, 3, [(0, 1, 2)]), 3, [(0, 1, 2)])
+        assert _strict_search(complete(3, 5), (0, 1, 2), nothing_added, "exists") == 1
+        with pytest.raises(ValueError, match="expected 3 roots"):
+            _strict_search(complete(3, 5), (0, 1), nothing_added, "exists")
+
+    def test_cap(self):
+        # the pair adds three vertices
+        pair = RootedPair(Hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)]), 3, [(0, 1, 2)])
+        host = Hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)])
+        assert len(strict_extensions(host, (0, 1, 2), pair, cap=3)) == 6
+        for mode in ("collect", "exists"):
+            with pytest.raises(CapExceeded, match="extension cap is 2"):
+                _strict_search(host, (0, 1, 2), pair, mode, cap=2)
 
     @pytest.mark.parametrize("s, n_pat, edges, roots", [
         # two triangles sharing vertex 0, rooted at the shared vertex

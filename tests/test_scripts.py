@@ -1,7 +1,12 @@
 """Smoke runs of the example scripts' main() on tiny arguments."""
 import importlib.util
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from hyperspectra.experiments import load_csv, load_jsonl
 
@@ -55,3 +60,22 @@ def test_window_scan(capsys, tmp_path):
         assert header["config"]["n_list"] == [n]
         assert [r.trial_index for r in records] == list(range(5))
         assert all(r.alpha == Fraction(15, 8) and not r.budget_exceeded for r in records)
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("poisson_fit", ["--n", "20", "--trials", "20"]),
+    ("threshold_sweep", ["--n", "12", "--trials", "5", "--points", "3"]),
+    ("window_scan", ["--n", "20", "--trials", "5"]),
+])
+def test_closed_pipe_is_quiet(name, argv):
+    # the reader goes away before the first line, as `| head -0` would:
+    # every write then fails with EPIPE, and the script must exit quietly
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SCRIPTS.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, str(SCRIPTS / f"{name}.py"), *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.wait(timeout=60)
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    assert err == ""

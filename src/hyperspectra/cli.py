@@ -57,6 +57,7 @@ from .experiments import (
     csv_text,
     sweep_alpha,
     unextendable_copy_count,
+    write_text,
 )
 
 RUNTIME_ERRORS = (
@@ -154,14 +155,6 @@ def int_list(text: str) -> list[int]:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-def write_text(path: str, text: str):
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +330,7 @@ def cmd_poisson(args):
     patterns = [load_hypergraph(path) for path in args.pattern]
     p, decimals = parse_p(args)
     rep = copy_count_distribution(patterns, args.n, args.trials, args.seed,
-                                  p=p, cap=args.budget)
+                                  p=p, cap=args.budget, jobs=args.jobs)
     doc = {"schema": "hyperspectra.poisson.v1", "n": rep.n, "p": rep.p,
            "trials": rep.trials,
            "histograms": [dict(h) for h in rep.histograms],
@@ -363,7 +356,7 @@ def cmd_unextendable(args):
     pair = load_pair(args.infile)
     p, decimals = parse_p(args)
     rep = unextendable_copy_count(pair, args.n, args.trials, args.seed,
-                                  p=p, cap=args.budget)
+                                  p=p, cap=args.budget, jobs=args.jobs)
     doc = {"schema": "hyperspectra.unextendable.v1", "n": rep.n, "p": rep.p,
            "trials": rep.trials, "histogram": dict(rep.histogram),
            "mean": rep.mean, "rate": rep.rate,
@@ -433,8 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget", type=int, default=None,
                         help="override enumeration caps and search budgets "
                              "(env HYPERSPECTRA_BUDGET also works)")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for Monte Carlo commands")
 
     parser = argparse.ArgumentParser(
         prog="hyperspectra",
@@ -445,9 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True,
                                  metavar="SUBCOMMAND")
 
-    def sub(name, handler, help_text, **kwargs):
+    def sub(name, handler, help_text, jobs=False, **kwargs):
         sp = subs.add_parser(name, parents=[common], help=help_text,
                              description=help_text, **kwargs)
+        if jobs:  # only the Monte Carlo studies shard their trials
+            sp.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
         sp.set_defaults(handler=handler)
         return sp
 
@@ -526,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="alias for --format")
 
     sp = sub("sweep", cmd_sweep,
-             "containment probability estimates over an (n, alpha) grid")
+             "containment probability estimates over an (n, alpha) grid", jobs=True)
     sp.add_argument("--s", type=int, required=True, help="edge size")
     sp.add_argument("--n", required=True,
                     help="comma-separated vertex counts")
@@ -541,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="named built-in property")
 
     sp = sub("poisson", cmd_poisson,
-             "copy-count distribution against the limiting Poisson law")
+             "copy-count distribution against the limiting Poisson law", jobs=True)
     sp.add_argument("--pattern", action="append", required=True,
                     help="pattern JSON file (repeat for joint counts)")
     sp.add_argument("--n", type=int, required=True, help="vertex count")
@@ -559,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="require the image to carry no extra edges")
 
     sp = sub("unextendable", cmd_unextendable,
-             "distribution of root-structure copies with no strict extension")
+             "distribution of root-structure copies with no strict extension", jobs=True)
     sp.add_argument("--in", dest="infile", required=True, help="pair JSON file")
     sp.add_argument("--n", type=int, required=True, help="vertex count")
     sp.add_argument("--trials", type=int, required=True, help="sample count")

@@ -1,10 +1,10 @@
 """Monte Carlo harness: probability estimates, exponent sweeps, copy-count
 distributions, and unextendable-copy counts, with seeded reproducibility.
 
-Every trial is a pure function of (config, trial index), so runs can be
-sharded across processes and re-aggregated deterministically.  Estimates
-carry Wilson 95% intervals; count distributions are compared against
-their limiting Poisson laws by total-variation distance.
+All four studies run their trials through one runner, `_run_chunk`; a
+trial is a pure function of (config, trial index), so worker processes
+change no result.  Estimates carry Wilson 95% intervals; count laws are
+compared with their Poisson limits by total-variation distance.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import io
 import json
 import math
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ from . import hypergraph
 from .hypergraph import (Hypergraph, _embedding_search, automorphism_count,
                          contains_copy, density, is_strictly_balanced)
 from .logic import compile_formula, parse, require_closed
-from .sampling import ModelParams, p_from_alpha, sample, sample_coupled
+from .sampling import ModelParams, p_from_alpha, sample_coupled
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -115,6 +116,13 @@ class PropertySpec:
         return {"kind": "formula", "formula": self.formula_text}
 
 
+def _check_sizes(trials: int, jobs: int):
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     s: int
@@ -131,22 +139,20 @@ class ExperimentConfig:
         object.__setattr__(self, "n_list", tuple(self.n_list))
         if not self.n_list:
             raise ValueError("n_list must be nonempty")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        _check_sizes(self.trials, self.jobs)
         if (self.alpha is None) == (self.p is None):
             raise ValueError("give exactly one of alpha and p")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
         self.prop.resolve(self.s)
 
+    def describe(self) -> dict:
+        """What the results depend on: everything but `out_path` and `jobs`."""
+        return {"s": self.s, "n_list": list(self.n_list),
+                "alpha": None if self.alpha is None else str(Fraction(self.alpha)),
+                "p": self.p, "trials": self.trials, "seed": self.seed,
+                "property": self.prop.describe()}
+
     def digest(self) -> str:
-        doc = {
-            "s": self.s, "n_list": list(self.n_list),
-            "alpha": None if self.alpha is None else str(Fraction(self.alpha)),
-            "p": self.p, "trials": self.trials, "seed": self.seed,
-            "property": self.prop.describe(),
-        }
-        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(self.describe(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -175,51 +181,45 @@ class EstimateReport:
     digest: str
 
 
-def _run_chunk(cfg: ExperimentConfig, n: int, ps, indices) -> list[tuple]:
-    """One row per trial: (seconds, outcome at each of ps).
+def _run_chunk(make_value, s: int, seed: int, n: int, ps, indices) -> list[tuple]:
+    """One row per trial: (seconds, value at each of ps).
 
-    A trial draws once at max(ps) and checks that draw thresholded at
+    A trial draws once at max(ps) and applies `make_value()`, built here
+    since compiled formulas do not pickle, to that draw thresholded at
     every p; the draw at p keeps exactly the edges `sample` keeps at p.
-    An outcome is None when the draw or its check ran over the budget.
-    """
-    checker = cfg.prop.resolve(cfg.s)
+    A value is None when the draw or the value ran over the budget."""
+    value = make_value()
     rows = []
     for t in indices:
         start = time.perf_counter()
         try:
-            gs = sample_coupled(
-                ModelParams(cfg.s, n, p=max(ps), seed=cfg.seed, trial_index=t), ps)
+            gs = sample_coupled(ModelParams(s, n, p=max(ps), seed=seed, trial_index=t), ps)
         except BudgetExceeded:
             rows.append((time.perf_counter() - start, [None] * len(ps)))
             continue
-        outcomes = []
+        values = []
         for g in gs:
             try:
-                outcomes.append(bool(checker(g)))
+                values.append(value(g))
             except BudgetExceeded:
-                outcomes.append(None)
-        rows.append((time.perf_counter() - start, outcomes))
+                values.append(None)
+        rows.append((time.perf_counter() - start, values))
     return rows
 
 
-def _chunks(total: int, parts: int):
-    size = max(1, -(-total // parts))
-    return [range(lo, min(lo + size, total)) for lo in range(0, total, size)]
-
-
-def _pool(cfg: ExperimentConfig):
+def _pool(jobs: int):
     """The worker pool a run shares across its cells: none for one job."""
-    if cfg.jobs == 1:
-        return nullcontext()
-    return ProcessPoolExecutor(max_workers=cfg.jobs)
+    return nullcontext() if jobs == 1 else ProcessPoolExecutor(max_workers=jobs)
 
 
-def _run_trials(cfg: ExperimentConfig, pool, n: int, ps) -> list[tuple]:
-    """`_run_chunk` over every trial, in trial order: the whole range
-    in-process without a pool, else one chunk per worker."""
+def _run_trials(pool, jobs: int, trials: int, *args) -> list[tuple]:
+    """`_run_chunk(*args, indices)` over every trial, in trial order: the
+    whole range in-process without a pool, else one chunk per worker."""
     if pool is None:
-        return _run_chunk(cfg, n, ps, range(cfg.trials))
-    parts = pool.map(partial(_run_chunk, cfg, n, ps), _chunks(cfg.trials, cfg.jobs))
+        return _run_chunk(*args, range(trials))
+    size = -(-trials // jobs)
+    parts = pool.map(partial(_run_chunk, *args),
+                     [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)])
     return [row for part in parts for row in part]
 
 
@@ -238,8 +238,9 @@ def estimate_probability(cfg: ExperimentConfig) -> EstimateReport:
         raise ValueError("estimate_probability wants exactly one n; use sweep_alpha")
     n = cfg.n_list[0]
     p = p_from_alpha(n, cfg.alpha) if cfg.p is None else cfg.p
-    with _pool(cfg) as pool:
-        rows = _run_trials(cfg, pool, n, [p])
+    with _pool(cfg.jobs) as pool:
+        rows = _run_trials(pool, cfg.jobs, cfg.trials, partial(cfg.prop.resolve, cfg.s),
+                           cfg.s, cfg.seed, n, [p])
     outcomes = [o for _, (o,) in rows]
     if cfg.out_path:
         records = [TrialRecord(n, p, t, bool(o), seconds, o is None, cfg.alpha)
@@ -264,10 +265,11 @@ def sweep_alpha(cfg: ExperimentConfig, alphas=None) -> list[EstimateReport]:
         if a <= 0:
             raise ValueError(f"grid exponent {a} must be positive")
     reports = []
-    with _pool(cfg) as pool:
+    with _pool(cfg.jobs) as pool:
         for n in cfg.n_list:
             ps = [p_from_alpha(n, a) for a in alphas]
-            rows = _run_trials(cfg, pool, n, ps)
+            rows = _run_trials(pool, cfg.jobs, cfg.trials, partial(cfg.prop.resolve, cfg.s),
+                               cfg.s, cfg.seed, n, ps)
             reports += [_report(cfg, n, a, p, [outcomes[i] for _, outcomes in rows])
                         for i, (a, p) in enumerate(zip(alphas, ps))]
     if cfg.out_path:
@@ -302,16 +304,46 @@ def _pearson(xs: list[int], ys: list[int]) -> float:
     return cov / math.sqrt(vx * vy)
 
 
+def _counts(make_count, s: int, n: int, p: float, trials: int, seed: int, jobs: int) -> list:
+    """The count `make_count()` gives each trial's draw at p, in trial order.
+    The sampler's C(n, s) check, the only budget met, fails all trials alike."""
+    with _pool(jobs) as pool:
+        rows = _run_trials(pool, jobs, trials, make_count, s, seed, n, [p])
+    counts = [c for _, (c,) in rows]
+    if None in counts:
+        raise BudgetExceeded(f"{counts.count(None)} of {trials} trials ran over the budget")
+    return counts
+
+
+def _fit(counts, lam: float) -> tuple[dict, float, float]:
+    """The histogram and mean of counts, and their TV distance to Pois(lam)."""
+    hist = dict(Counter(counts))
+    return hist, sum(counts) / len(counts), tv_distance_to_poisson(hist, lam)
+
+
+def _copy_counter(patterns, auts, cap):
+    """Per-host copy counts of every pattern, peeling the host once for all."""
+    def count(host):
+        peeled: dict = {}
+        # count_embeddings is looked up on the module, where span tracers wrap it
+        embs = [hypergraph.count_embeddings(host, g, cap=cap, _peeled=peeled) for g in patterns]
+        assert all(e % a == 0 for e, a in zip(embs, auts)), "embeddings come in aut-orbits"
+        return [e // a for e, a in zip(embs, auts)]
+    return count
+
+
 def copy_count_distribution(patterns, n: int, trials: int, seed: int,
                             p: Optional[float] = None,
-                            cap: Optional[int] = None) -> CopyCountReport:
+                            cap: Optional[int] = None, jobs: int = 1) -> CopyCountReport:
     """Per-trial copy counts of one or more strictly balanced patterns.
 
     Defaults p to the pattern's own threshold n^{-v/e}.  Reports the
     empirical histogram, mean, limiting Poisson rate 1/aut, and the TV
     distance to that Poisson law; with several patterns (which must share
-    one density) also the pairwise count correlations.
+    one density) also the pairwise count correlations.  Any `jobs` gives
+    the same report; a trial over the sampler's budget raises BudgetExceeded.
     """
+    _check_sizes(trials, jobs)
     if isinstance(patterns, Hypergraph):
         patterns = [patterns]
     patterns = list(patterns)
@@ -330,33 +362,14 @@ def copy_count_distribution(patterns, n: int, trials: int, seed: int,
     if p is None:
         p = p_from_alpha(n, 1 / rho)
     auts = [automorphism_count(g, cap=cap) for g in patterns]
-    counts = [[] for _ in patterns]
-    for t in range(trials):
-        host = sample(ModelParams(patterns[0].s, n, p=p, seed=seed, trial_index=t))
-        peeled: dict = {}  # this host, peeled once per set of pattern profiles
-        for i, g in enumerate(patterns):
-            # looked up on the module, where span tracers wrap it
-            emb = hypergraph.count_embeddings(host, g, cap=cap, _peeled=peeled)
-            assert emb % auts[i] == 0, "embedding count must be divisible by automorphisms"
-            counts[i].append(emb // auts[i])
-    histograms = []
-    means = []
-    rates = []
-    tvs = []
-    for i, g in enumerate(patterns):
-        hist = {}
-        for c in counts[i]:
-            hist[c] = hist.get(c, 0) + 1
-        lam = 1.0 / auts[i]
-        histograms.append(hist)
-        means.append(sum(counts[i]) / trials)
-        rates.append(lam)
-        tvs.append(tv_distance_to_poisson(hist, lam))
+    counts = list(zip(*_counts(partial(_copy_counter, patterns, auts, cap),
+                               patterns[0].s, n, p, trials, seed, jobs)))
+    rates = [1.0 / aut for aut in auts]
+    histograms, means, tvs = zip(*map(_fit, counts, rates))
     correlations = tuple(
         (i, j, _pearson(counts[i], counts[j]))
         for i in range(len(patterns)) for j in range(i + 1, len(patterns)))
-    return CopyCountReport(n, p, trials, tuple(histograms), tuple(means),
-                           tuple(rates), tuple(tvs), correlations)
+    return CopyCountReport(n, p, trials, histograms, means, tuple(rates), tvs, correlations)
 
 
 # ---------------------------------------------------------------------------
@@ -391,38 +404,38 @@ class UnextendableReport:
     tv_distance: float
 
 
+def _unextendable_counter(pair: RootedPair, cap):
+    return lambda host: count_unextendable_copies(host, pair, cap=cap)
+
+
 def unextendable_copy_count(pair: RootedPair, n: int, trials: int, seed: int,
                             p: Optional[float] = None,
-                            cap: Optional[int] = None) -> UnextendableReport:
+                            cap: Optional[int] = None, jobs: int = 1) -> UnextendableReport:
     """Distribution of unextendable root-structure copies in G^s(n, p).
 
-    Validates the limiting-rate hypotheses exactly (strict balance of
-    the root structure and of the pair, density equality) and compares
-    the counts against the resulting Poisson law.
+    Validates the limiting-rate hypotheses exactly (strict balance of the
+    root structure and of the pair, density equality) and compares the
+    counts against the resulting Poisson law; `jobs` and budget as in
+    `copy_count_distribution`.
 
     The trivial pair (whole structure rooted, nothing added) is a
     definitional boundary: every copy contains itself, so the count is 0
     without sampling and the comparison law is the point mass at 0.
     """
-    h = Hypergraph(pair.g.s, pair.roots, pair.h_edges)
-    if pair.v_diff == 0 and not pair.pattern_edges:
-        if p is None:
-            if h.e == 0:
-                raise ValueError("p required when the root structure has no edges")
-            p = p_from_alpha(n, Fraction(h.v, h.e))
-        return UnextendableReport(n, p, trials, {0: trials}, 0.0, 0.0, 0.0)
-    rate = unextendable_poisson_rate(pair, cap=cap)
+    _check_sizes(trials, jobs)
+    trivial = pair.v_diff == 0 and not pair.pattern_edges
+    rate = 0.0 if trivial else unextendable_poisson_rate(pair, cap=cap)
     if p is None:
+        h = Hypergraph(pair.g.s, pair.roots, pair.h_edges)
+        if h.e == 0:  # only the trivial pair gets here: the rate needs root edges
+            raise ValueError("p required when the root structure has no edges")
         p = p_from_alpha(n, Fraction(h.v, h.e))
-    hist: dict = {}
-    total = 0
-    for t in range(trials):
-        host = sample(ModelParams(pair.g.s, n, p=p, seed=seed, trial_index=t))
-        c = count_unextendable_copies(host, pair, cap=cap)
-        hist[c] = hist.get(c, 0) + 1
-        total += c
-    return UnextendableReport(n, p, trials, hist, total / trials, rate,
-                              tv_distance_to_poisson(hist, rate))
+    if trivial:
+        return UnextendableReport(n, p, trials, {0: trials}, 0.0, 0.0, 0.0)
+    counts = _counts(partial(_unextendable_counter, pair, cap),
+                     pair.g.s, n, p, trials, seed, jobs)
+    hist, mean, tv = _fit(counts, rate)
+    return UnextendableReport(n, p, trials, hist, mean, rate, tv)
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +478,7 @@ def save_jsonl(path, cfg: ExperimentConfig, records, append: bool = False):
                 fh.seek(0, 2)
             else:
                 header = {"schema": JSONL_SCHEMA, "digest": cfg.digest(),
-                          "config": {"s": cfg.s, "n_list": list(cfg.n_list),
-                                     "alpha": None if cfg.alpha is None
-                                     else str(Fraction(cfg.alpha)),
-                                     "p": cfg.p, "trials": cfg.trials,
-                                     "seed": cfg.seed,
-                                     "property": cfg.prop.describe()}}
+                          "config": cfg.describe()}
                 fh.write(json.dumps(header, sort_keys=True) + "\n")
             for r in records:
                 fh.write(json.dumps(_record_to_dict(r), sort_keys=True) + "\n")
@@ -509,12 +517,17 @@ def csv_text(digest: str, reports) -> str:
     return buf.getvalue()
 
 
-def save_csv(path, digest: str, reports):
+def write_text(path, text: str):
+    """Write text to path unchanged (no newline translation)."""
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(csv_text(digest, reports))
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
+
+
+def save_csv(path, digest: str, reports):
+    write_text(path, csv_text(digest, reports))
 
 
 def load_csv(path) -> tuple[str, list[dict]]:

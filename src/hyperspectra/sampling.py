@@ -77,23 +77,6 @@ def _below(words: np.ndarray, p: float) -> np.ndarray:
     return words < np.uint64(math.ceil(p * 2.0**53) << 11)
 
 
-def _kept(params: ModelParams, p: float, budget: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The colex ranks whose word keeps them at p, and those words."""
-    total = comb(params.n, params.s)
-    limit = DEFAULT_EDGE_BUDGET if budget is None else budget
-    if total > limit:
-        raise BudgetExceeded(
-            f"C({params.n},{params.s}) = {total} potential edges exceeds budget {limit}")
-    stream = np.random.Philox(key=np.array([params.seed, params.trial_index], dtype=np.uint64))
-    ranks, words = [], []
-    for start in range(0, total, _BLOCK):
-        block = stream.random_raw(min(_BLOCK, total - start))
-        keep = np.flatnonzero(_below(block, p))
-        ranks.append(keep + start)
-        words.append(block[keep])
-    return np.concatenate(ranks), np.concatenate(words)
-
-
 @lru_cache(maxsize=32)
 def _columns(n: int, s: int) -> tuple[np.ndarray, ...]:
     """Column k (k = 0..s) holds C(m, k) = sum_{j<m} C(j, k-1) for m < n,
@@ -125,11 +108,7 @@ def _unrank(ranks: np.ndarray, n: int, s: int) -> np.ndarray:
 
 def sample(params: ModelParams, budget: int | None = None) -> Hypergraph:
     """One draw of G^s(n, p): keep each potential edge independently."""
-    p = params.effective_p
-    if p == 0.0:
-        return Hypergraph(params.s, params.n, [])
-    ranks, _ = _kept(params, p, budget)
-    return Hypergraph(params.s, params.n, _unrank(ranks, params.n, params.s).tolist())
+    return sample_coupled(params, [params.effective_p], budget)[0]
 
 
 def sample_coupled(params: ModelParams, ps, budget: int | None = None) -> list[Hypergraph]:
@@ -138,8 +117,8 @@ def sample_coupled(params: ModelParams, ps, budget: int | None = None) -> list[H
     The stream is thresholded once, at the largest probability, and the
     kept words are filtered for each smaller one.  The draws are
     monotone-coupled: whenever ps[i] <= ps[j], the i-th edge set is a
-    subset of the j-th.  As with `sample`, all probabilities 0 (or none
-    given) read no stream and skip the budget check.
+    subset of the j-th.  All probabilities 0 (or none given) read no
+    stream and skip the budget check.
     """
     ps = list(ps)
     for q in ps:
@@ -148,6 +127,21 @@ def sample_coupled(params: ModelParams, ps, budget: int | None = None) -> list[H
     top = max(ps, default=0.0)
     if top == 0.0:
         return [Hypergraph(params.s, params.n, []) for _ in ps]
-    ranks, words = _kept(params, top, budget)
-    edges = _unrank(ranks, params.n, params.s)
-    return [Hypergraph(params.s, params.n, edges[_below(words, q)].tolist()) for q in ps]
+    total = comb(params.n, params.s)
+    limit = DEFAULT_EDGE_BUDGET if budget is None else budget
+    if total > limit:
+        raise BudgetExceeded(
+            f"C({params.n},{params.s}) = {total} potential edges exceeds budget {limit}")
+    stream = np.random.Philox(key=np.array([params.seed, params.trial_index], dtype=np.uint64))
+    ranks, words = [], []
+    for start in range(0, total, _BLOCK):
+        block = stream.random_raw(min(_BLOCK, total - start))
+        keep = np.flatnonzero(_below(block, top))
+        ranks.append(keep + start)
+        words.append(block[keep])
+    edges = _unrank(np.concatenate(ranks), params.n, params.s)
+    words = np.concatenate(words)
+    # the draw at the top probability keeps every word kept so far
+    return [Hypergraph(params.s, params.n,
+                       (edges if q == top else edges[_below(words, q)]).tolist())
+            for q in ps]

@@ -34,6 +34,8 @@ def files(tmp_path_factory):
                Hypergraph(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]).to_json()),
         triangle=put("triangle.json",
                      Hypergraph(2, 3, [(0, 1), (1, 2), (0, 2)]).to_json()),
+        c4=put("c4.json",
+               Hypergraph(2, 4, [(0, 1), (1, 2), (2, 3), (0, 3)]).to_json()),
         host2=put("host2.json",
                   Hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)]).to_json()),
         pair=put("pair.json", {
@@ -81,6 +83,30 @@ class TestExitCodes:
             code, out, err = run(argv, capsys)
             assert code == 1, argv
             assert err.startswith("error:")
+
+    def test_jobs_only_on_monte_carlo_commands(self, files, capsys):
+        for argv in (["density", "--in", files.edge3],
+                     ["game", "--g1", files.edge3, "--g2", files.edge3, "--k", "2"],
+                     ["bounds", "--theorem", "8", "--s", "3", "--k", "5"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv + ["--jobs", "2"])
+            assert info.value.code == 2, argv
+        for argv in (["sweep", "--s", "3", "--n", "10", "--alphas", "2",
+                      "--trials", "3", "--builtin", "contains-edge"],
+                     ["poisson", "--pattern", files.triangle, "--n", "20", "--trials", "3"],
+                     ["unextendable", "--in", files.pair, "--n", "12", "--trials", "3"]):
+            code, _, err = run(argv + ["--jobs", "2"], capsys)
+            assert code == 0, err
+            code, out, err = run(argv + ["--jobs", "0"], capsys)
+            assert (code, out, err) == (1, "", "error: jobs must be at least 1\n"), argv
+
+    def test_count_studies_over_budget(self, files, capsys):
+        # C(400, 3) potential edges exceed the sampler's default budget
+        for argv in (["poisson", "--pattern", files.edge3, "--n", "400", "--trials", "3"],
+                     ["unextendable", "--in", files.pair, "--n", "400", "--trials", "3"]):
+            code, out, err = run(argv, capsys)
+            assert (code, out) == (1, ""), argv
+            assert err == "error: 3 of 3 trials ran over the budget\n"
 
     def test_help_and_version(self, capsys):
         for argv in (["--help"], ["bounds", "--help"], ["--version"]):
@@ -350,6 +376,21 @@ class TestDeterminism:
         assert texts["1"].startswith("# digest: ")
         successes = {row.split(",")[4] for row in texts["1"].splitlines()[2:]}
         assert len(successes) > 1  # the exponents separate, so the counts are compared
+
+    @pytest.mark.parametrize("command", ["poisson", "unextendable"])
+    def test_count_jobs_byte_identical(self, files, capsys, command):
+        argv = {"poisson": ["poisson", "--pattern", files.triangle, "--pattern",
+                            files.c4, "--n", "40", "--trials", "13", "--p", "1/20"],
+                "unextendable": ["unextendable", "--in", files.pair, "--n", "9",
+                                 "--trials", "13", "--p", "0.06"]}[command]
+        texts = {}
+        for jobs in ("1", "2"):
+            code, texts[jobs], err = run(argv + ["--seed", "4", "--jobs", jobs], capsys)
+            assert code == 0, err
+        assert texts["1"] == texts["2"]
+        doc = json.loads(texts["1"])
+        histograms = doc["histograms"] if command == "poisson" else [doc["histogram"]]
+        assert all(len(h) > 1 for h in histograms)  # the trials differ
 
     def test_trial_index_changes_sample(self, files, capsys):
         base = ["sample", "--s", "3", "--n", "25", "--alpha", "3/2",

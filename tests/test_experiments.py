@@ -36,11 +36,27 @@ LOOSE_PATH = Hypergraph(3, 5, [(0, 1, 2), (2, 3, 4)])
 TRIANGLE = Hypergraph(2, 3, [(0, 1), (1, 2), (0, 2)])
 FOUR_CYCLE = Hypergraph(2, 4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 UNEXT_PAIR = RootedPair(Hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)]), 3, [(0, 1, 2)])
+TRIVIAL_PAIR = RootedPair(Hypergraph(3, 3, [(0, 1, 2)]), 3, [(0, 1, 2)])
 
 
 def pattern_cfg(pattern, n, trials, seed, *, alpha=None, p=None, **kw):
     return ExperimentConfig(pattern.s, (n,), PropertySpec("pattern", pattern=pattern),
                             trials, seed, alpha=alpha, p=p, **kw)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The keyword arguments of every worker pool the harness opens."""
+    from hyperspectra import experiments
+    opened = []
+
+    class CountedPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountedPool)
+    return opened
 
 
 class TestWilson:
@@ -234,16 +250,7 @@ class TestSweep:
         assert list(rows[0]) == CSV_FIELDS
         assert rows[0]["alpha"] == "2"
 
-    def test_one_pool_per_sweep(self, monkeypatch):
-        from hyperspectra import experiments
-        pools = []
-
-        class CountedPool(experiments.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountedPool)
+    def test_one_pool_per_sweep(self, pools):
         cfg = ExperimentConfig(3, (12, 16), PropertySpec("pattern", pattern=LOOSE_PATH),
                                6, seed=5, alpha=Fraction(2), jobs=2)
         grid = [Fraction(2), Fraction(5, 2), Fraction(3)]
@@ -349,7 +356,8 @@ class TestCopyCounts:
         assert (i, j) == (0, 1)
         assert abs(r) < 0.15
 
-    def test_peels_each_host_once(self, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_peels_each_host_once(self, monkeypatch, jobs):
         from hyperspectra import hypergraph
         peel = hypergraph._peel
         peels = []
@@ -359,10 +367,13 @@ class TestCopyCounts:
             return peel(*args)
 
         monkeypatch.setattr(hypergraph, "_peel", counted_peel)
-        rep = copy_count_distribution([TRIANGLE, FOUR_CYCLE], 40, 12, seed=3, p=0.1)
+        rep = copy_count_distribution([TRIANGLE, FOUR_CYCLE], 40, 12, seed=3, p=0.1,
+                                      jobs=jobs)
         # K3 and C4 share their minimal edge profile (2, 2): one peel per
-        # host (the automorphism counts peel small graphs of their own)
-        assert sum(1 for _, profiles in peels if profiles == ((2, 2),)) == 12
+        # host (the automorphism counts peel small graphs of their own).
+        # Worker processes record their peels in their own memory.
+        assert sum(1 for _, profiles in peels if profiles == ((2, 2),)) == \
+            (12 if jobs == 1 else 0)
         hosts = [sample(ModelParams(2, 40, p=0.1, seed=3, trial_index=t)) for t in range(12)]
         for pattern, hist in zip((TRIANGLE, FOUR_CYCLE), rep.histograms):
             counts = [count_copies(host, pattern) for host in hosts]
@@ -449,10 +460,18 @@ class TestUnextendable:
         assert rep.mean == 0.0
 
     def test_trivial_pair_counts_nothing(self):
-        pair = RootedPair(Hypergraph(3, 3, [(0, 1, 2)]), 3, [(0, 1, 2)])
-        rep = unextendable_copy_count(pair, 50, 25, seed=3)
+        rep = unextendable_copy_count(TRIVIAL_PAIR, 50, 25, seed=3)
         assert rep.histogram == {0: 25}
         assert rep.rate == 0.0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_histogram_matches_bruteforce(self, jobs):
+        rep = unextendable_copy_count(UNEXT_PAIR, 9, 16, seed=4, p=0.06, jobs=jobs)
+        hosts = [sample(ModelParams(3, 9, p=0.06, seed=4, trial_index=t)) for t in range(16)]
+        counts = [oracles.brute_unextendable_copies(host, UNEXT_PAIR) for host in hosts]
+        assert rep.histogram == {c: counts.count(c) for c in set(counts)}
+        assert rep.mean == sum(counts) / 16
+        assert len(rep.histogram) > 1  # the hosts differ, so the counts are compared
 
     def test_poisson_rate_tracks_mean(self):
         rep = unextendable_copy_count(UNEXT_PAIR, 60, 300, seed=11)
@@ -467,6 +486,47 @@ class TestUnextendable:
             3, [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(HypothesisViolated):
             unextendable_copy_count(pendant, 40, 5, seed=0)
+
+
+COUNT_STUDIES = {
+    "copies": lambda jobs: copy_count_distribution([TRIANGLE, FOUR_CYCLE], 40, 12,
+                                                   seed=3, p=0.1, jobs=jobs),
+    "unextendable": lambda jobs: unextendable_copy_count(UNEXT_PAIR, 9, 12, seed=4,
+                                                         p=0.06, jobs=jobs),
+}
+
+
+class TestCountStudies:
+    """What the two count studies share: sizes, worker pools, the budget."""
+
+    @pytest.mark.parametrize("study", COUNT_STUDIES.values(), ids=COUNT_STUDIES)
+    def test_one_pool_per_study(self, pools, study):
+        assert study(2) == study(1)
+        assert pools == [{"max_workers": 2}]
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: copy_count_distribution(TRIANGLE, 30, 0, seed=1), "trials"),
+        (lambda: copy_count_distribution(TRIANGLE, 30, -3, seed=1), "trials"),
+        (lambda: copy_count_distribution(TRIANGLE, 30, 5, seed=1, jobs=0), "jobs"),
+        (lambda: unextendable_copy_count(UNEXT_PAIR, 30, 0, seed=1), "trials"),
+        (lambda: unextendable_copy_count(UNEXT_PAIR, 30, 5, seed=1, jobs=0), "jobs"),
+        (lambda: unextendable_copy_count(TRIVIAL_PAIR, 50, 0, seed=3), "trials"),
+        (lambda: unextendable_copy_count(TRIVIAL_PAIR, 50, -3, seed=3), "trials"),
+    ], ids=["copies-zero", "copies-negative", "copies-jobs", "unext-zero", "unext-jobs",
+            "trivial-zero", "trivial-negative"])
+    def test_rejects_bad_sizes(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message} must be at least 1$"):
+            call()
+
+    # C(400, 3) = 10,586,800 potential edges exceed the sampler's default
+    # budget of 10^7, so every trial runs over it
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_over_budget_raises(self, jobs):
+        edge = Hypergraph(3, 3, [(0, 1, 2)])
+        with pytest.raises(BudgetExceeded, match="^5 of 5 trials ran over the budget$"):
+            copy_count_distribution(edge, 400, 5, seed=1, jobs=jobs)
+        with pytest.raises(BudgetExceeded, match="^4 of 4 trials ran over the budget$"):
+            unextendable_copy_count(UNEXT_PAIR, 400, 4, seed=1, jobs=jobs)
 
 
 class TestPersistence:

@@ -123,21 +123,13 @@ def render(doc: dict, fmt: str) -> str:
     body = jsonable(doc)
     if fmt == "json":
         return json.dumps(body, sort_keys=True, indent=2) + "\n"
+    rows = [(key, val if isinstance(val, str) else json.dumps(val, sort_keys=True))
+            for key, val in sorted(body.items())]
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["field", "value"])
-        for key in sorted(body):
-            val = body[key]
-            writer.writerow([key, val if isinstance(val, str)
-                             else json.dumps(val, sort_keys=True)])
+        csv.writer(buf).writerows([("field", "value"), *rows])
         return buf.getvalue()
-    lines = []
-    for key in sorted(body):
-        val = body[key]
-        lines.append(f"{key}: "
-                     f"{val if isinstance(val, str) else json.dumps(val, sort_keys=True)}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key}: {val}\n" for key, val in rows)
 
 
 def load_hypergraph(path: str) -> Hypergraph:
@@ -189,19 +181,17 @@ def cmd_sample(args):
 def cmd_density(args):
     g = load_hypergraph(args.infile)
     rho_max, witness = max_density(g)
-    doc = {"schema": "hyperspectra.density.v1",
-           "rho": density(g), "rho_max": rho_max,
-           "witness": sorted(witness), "v": g.n, "e": g.e}
-    return doc, None
+    return {"schema": "hyperspectra.density.v1",
+            "rho": density(g), "rho_max": rho_max,
+            "witness": sorted(witness), "v": g.n, "e": g.e}, None
 
 
 def cmd_balance(args):
     g = load_hypergraph(args.infile)
     rho_max, _ = max_density(g)
-    doc = {"schema": "hyperspectra.balance.v1",
-           "strictly_balanced": is_strictly_balanced(g),
-           "rho": density(g), "rho_max": rho_max}
-    return doc, None
+    return {"schema": "hyperspectra.balance.v1",
+            "strictly_balanced": is_strictly_balanced(g),
+            "rho": density(g), "rho_max": rho_max}, None
 
 
 def cmd_classify_pair(args):
@@ -226,9 +216,8 @@ def cmd_extend(args):
     forbidden = frozenset(int_list(args.forbidden)) if args.forbidden else frozenset()
     exts = strict_extensions(host, roots, pair, cap=args.budget,
                              forbidden=forbidden)
-    doc = {"schema": "hyperspectra.extend.v1", "roots": roots,
-           "count": len(exts), "extensions": [list(t) for t in exts]}
-    return doc, None
+    return {"schema": "hyperspectra.extend.v1", "roots": roots,
+            "count": len(exts), "extensions": [list(t) for t in exts]}, None
 
 
 def cmd_decompose(args):
@@ -312,7 +301,7 @@ def cmd_sweep(args):
             decimals.append(part.strip())
     cfg = ExperimentConfig(args.s, tuple(int_list(args.n)), prop, args.trials,
                            seed=args.seed, alpha=alphas[0],
-                           out_path=args.out, jobs=args.jobs)
+                           out_path=args.out, jobs=args.jobs, budget=args.budget)
     reports = sweep_alpha(cfg, alphas=alphas)
     cells = [{"n": r.n, "alpha": Fraction(r.alpha), "p": r.p,
               "trials": r.trials, "successes": r.successes,
@@ -329,16 +318,15 @@ def cmd_sweep(args):
 def cmd_poisson(args):
     patterns = [load_hypergraph(path) for path in args.pattern]
     p, decimals = parse_p(args)
-    rep = copy_count_distribution(patterns, args.n, args.trials, args.seed,
-                                  p=p, cap=args.budget, jobs=args.jobs)
-    doc = {"schema": "hyperspectra.poisson.v1", "n": rep.n, "p": rep.p,
-           "trials": rep.trials,
-           "histograms": [dict(h) for h in rep.histograms],
-           "means": list(rep.means), "rates": list(rep.rates),
-           "tv_distances": list(rep.tv_distances),
-           "correlations": [list(c) for c in rep.correlations],
-           "decimal_inputs": sorted(decimals)}
-    return doc, None
+    rep = copy_count_distribution(patterns, args.n, args.trials, args.seed, p=p,
+                                  cap=args.budget, jobs=args.jobs, budget=args.budget)
+    return {"schema": "hyperspectra.poisson.v1", "n": rep.n, "p": rep.p,
+            "trials": rep.trials,
+            "histograms": [dict(h) for h in rep.histograms],
+            "means": list(rep.means), "rates": list(rep.rates),
+            "tv_distances": list(rep.tv_distances),
+            "correlations": [list(c) for c in rep.correlations],
+            "decimal_inputs": sorted(decimals)}, None
 
 
 def cmd_count_copies(args):
@@ -347,22 +335,20 @@ def cmd_count_copies(args):
     emb = count_embeddings(host, pattern, cap=args.budget, induced=args.induced)
     aut = automorphism_count(pattern, cap=args.budget)
     assert emb % aut == 0, "embedding count must be divisible by automorphisms"
-    doc = {"schema": "hyperspectra.count-copies.v1", "embeddings": emb,
-           "copies": emb // aut, "automorphisms": aut, "induced": args.induced}
-    return doc, None
+    return {"schema": "hyperspectra.count-copies.v1", "embeddings": emb,
+            "copies": emb // aut, "automorphisms": aut, "induced": args.induced}, None
 
 
 def cmd_unextendable(args):
     pair = load_pair(args.infile)
     p, decimals = parse_p(args)
-    rep = unextendable_copy_count(pair, args.n, args.trials, args.seed,
-                                  p=p, cap=args.budget, jobs=args.jobs)
-    doc = {"schema": "hyperspectra.unextendable.v1", "n": rep.n, "p": rep.p,
-           "trials": rep.trials, "histogram": dict(rep.histogram),
-           "mean": rep.mean, "rate": rep.rate,
-           "tv_distance": rep.tv_distance,
-           "decimal_inputs": sorted(decimals)}
-    return doc, None
+    rep = unextendable_copy_count(pair, args.n, args.trials, args.seed, p=p,
+                                  cap=args.budget, jobs=args.jobs, budget=args.budget)
+    return {"schema": "hyperspectra.unextendable.v1", "n": rep.n, "p": rep.p,
+            "trials": rep.trials, "histogram": dict(rep.histogram),
+            "mean": rep.mean, "rate": rep.rate,
+            "tv_distance": rep.tv_distance,
+            "decimal_inputs": sorted(decimals)}, None
 
 
 def cmd_schema_dump(args):
@@ -436,11 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True,
                                  metavar="SUBCOMMAND")
 
-    def sub(name, handler, help_text, jobs=False, **kwargs):
+    def sub(name, handler, help_text, jobs=False, infile=None, **kwargs):
         sp = subs.add_parser(name, parents=[common], help=help_text,
                              description=help_text, **kwargs)
         if jobs:  # only the Monte Carlo studies shard their trials
             sp.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+        if infile:
+            sp.add_argument("--in", dest="infile", required=True, help=infile)
         sp.set_defaults(handler=handler)
         return sp
 
@@ -453,23 +441,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trial", type=int, default=0,
                     help="trial index for substream selection")
 
-    sp = sub("density", cmd_density, "exact density and maximum subdensity")
-    sp.add_argument("--in", dest="infile", required=True,
-                    help="hypergraph JSON file")
-
-    sp = sub("balance", cmd_balance, "strict balance check")
-    sp.add_argument("--in", dest="infile", required=True,
-                    help="hypergraph JSON file")
+    sub("density", cmd_density, "exact density and maximum subdensity",
+        infile="hypergraph JSON file")
+    sub("balance", cmd_balance, "strict balance check", infile="hypergraph JSON file")
 
     sp = sub("classify-pair", cmd_classify_pair,
-             "safe/rigid/neutral classification of a rooted pair at alpha")
-    sp.add_argument("--in", dest="infile", required=True,
-                    help="pair JSON file {g, roots, h_edges}")
+             "safe/rigid/neutral classification of a rooted pair at alpha",
+             infile="pair JSON file {g, roots, h_edges}")
     sp.add_argument("--alpha", required=True, help="exponent, rational")
 
     sp = sub("extend", cmd_extend,
-             "strict extensions of a rooted pair over given host roots")
-    sp.add_argument("--in", dest="infile", required=True, help="pair JSON file")
+             "strict extensions of a rooted pair over given host roots",
+             infile="pair JSON file")
     sp.add_argument("--host", required=True, help="host hypergraph JSON file")
     sp.add_argument("--roots", required=True,
                     help="comma-separated host vertices for the root tuple")
@@ -477,9 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated host vertices to avoid")
 
     sp = sub("decompose", cmd_decompose,
-             "build chain showing membership in the bounded-density family")
-    sp.add_argument("--in", dest="infile", required=True,
-                    help="hypergraph JSON file")
+             "build chain showing membership in the bounded-density family",
+             infile="hypergraph JSON file")
     sp.add_argument("--m", type=int, required=True, help="family parameter")
 
     sp = sub("game", cmd_game, "solve or verify the k-round comparison game")
@@ -491,9 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="optimal solves the game; mirror/extension verify "
                          "that duplicator strategy exhaustively")
 
-    sp = sub("eval", cmd_eval, "evaluate a closed formula on a hypergraph")
-    sp.add_argument("--in", dest="infile", required=True,
-                    help="hypergraph JSON file")
+    sp = sub("eval", cmd_eval, "evaluate a closed formula on a hypergraph",
+             infile="hypergraph JSON file")
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--formula", help="inline s-expression formula")
     group.add_argument("--formula-file", help="path to a .fol file")
@@ -543,17 +524,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="edge probability; defaults to the pattern threshold")
 
     sp = sub("count-copies", cmd_count_copies,
-             "embeddings, copies, and automorphisms of a pattern in a host")
-    sp.add_argument("--in", dest="infile", required=True,
-                    help="host hypergraph JSON file")
+             "embeddings, copies, and automorphisms of a pattern in a host",
+             infile="host hypergraph JSON file")
     sp.add_argument("--pattern", required=True,
                     help="pattern hypergraph JSON file")
     sp.add_argument("--induced", action="store_true",
                     help="require the image to carry no extra edges")
 
     sp = sub("unextendable", cmd_unextendable,
-             "distribution of root-structure copies with no strict extension", jobs=True)
-    sp.add_argument("--in", dest="infile", required=True, help="pair JSON file")
+             "distribution of root-structure copies with no strict extension", jobs=True,
+             infile="pair JSON file")
     sp.add_argument("--n", type=int, required=True, help="vertex count")
     sp.add_argument("--trials", type=int, required=True, help="sample count")
     sp.add_argument("--p", default=None,

@@ -18,7 +18,7 @@ DEFAULT_PAIR_CAP = 16        # subset enumeration over v(G, H)
 DEFAULT_EXTENSION_CAP = 8    # extension searches over v(G, H)
 DEFAULT_DECOMP_CAP = 20      # decomposition chain searches over v(G)
 DEFAULT_EDGE_BUDGET = 10**7  # potential edges C(n, s) a sampler may touch
-DEFAULT_EVAL_BUDGET = 10**8  # evaluator node visits / game positions
+DEFAULT_EVAL_BUDGET = 10**8  # evaluator node visits / game tuples or positions
 
 
 class CapExceeded(RuntimeError):

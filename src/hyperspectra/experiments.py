@@ -134,6 +134,7 @@ class ExperimentConfig:
     p: Optional[float] = None
     out_path: Optional[str] = None
     jobs: int = 1
+    budget: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "n_list", tuple(self.n_list))
@@ -145,11 +146,15 @@ class ExperimentConfig:
         self.prop.resolve(self.s)
 
     def describe(self) -> dict:
-        """What the results depend on: everything but `out_path` and `jobs`."""
-        return {"s": self.s, "n_list": list(self.n_list),
-                "alpha": None if self.alpha is None else str(Fraction(self.alpha)),
-                "p": self.p, "trials": self.trials, "seed": self.seed,
-                "property": self.prop.describe()}
+        """What the results depend on: everything but `out_path` and `jobs`,
+        and the sampler's `budget` only when one is set."""
+        doc = {"s": self.s, "n_list": list(self.n_list),
+               "alpha": None if self.alpha is None else str(Fraction(self.alpha)),
+               "p": self.p, "trials": self.trials, "seed": self.seed,
+               "property": self.prop.describe()}
+        if self.budget is not None:
+            doc["budget"] = self.budget
+        return doc
 
     def digest(self) -> str:
         blob = json.dumps(self.describe(), sort_keys=True, separators=(",", ":"))
@@ -181,19 +186,21 @@ class EstimateReport:
     digest: str
 
 
-def _run_chunk(make_value, s: int, seed: int, n: int, ps, indices) -> list[tuple]:
+def _run_chunk(make_value, s: int, seed: int, n: int, ps, budget, indices) -> list[tuple]:
     """One row per trial: (seconds, value at each of ps).
 
     A trial draws once at max(ps) and applies `make_value()`, built here
     since compiled formulas do not pickle, to that draw thresholded at
     every p; the draw at p keeps exactly the edges `sample` keeps at p.
-    A value is None when the draw or the value ran over the budget."""
+    A value is None when the draw ran over the sampler's `budget` (its
+    default when None) or the value ran over its own budget."""
     value = make_value()
     rows = []
     for t in indices:
         start = time.perf_counter()
         try:
-            gs = sample_coupled(ModelParams(s, n, p=max(ps), seed=seed, trial_index=t), ps)
+            gs = sample_coupled(ModelParams(s, n, p=max(ps), seed=seed, trial_index=t), ps,
+                                budget)
         except BudgetExceeded:
             rows.append((time.perf_counter() - start, [None] * len(ps)))
             continue
@@ -240,7 +247,7 @@ def estimate_probability(cfg: ExperimentConfig) -> EstimateReport:
     p = p_from_alpha(n, cfg.alpha) if cfg.p is None else cfg.p
     with _pool(cfg.jobs) as pool:
         rows = _run_trials(pool, cfg.jobs, cfg.trials, partial(cfg.prop.resolve, cfg.s),
-                           cfg.s, cfg.seed, n, [p])
+                           cfg.s, cfg.seed, n, [p], cfg.budget)
     outcomes = [o for _, (o,) in rows]
     if cfg.out_path:
         records = [TrialRecord(n, p, t, bool(o), seconds, o is None, cfg.alpha)
@@ -269,7 +276,7 @@ def sweep_alpha(cfg: ExperimentConfig, alphas=None) -> list[EstimateReport]:
         for n in cfg.n_list:
             ps = [p_from_alpha(n, a) for a in alphas]
             rows = _run_trials(pool, cfg.jobs, cfg.trials, partial(cfg.prop.resolve, cfg.s),
-                               cfg.s, cfg.seed, n, ps)
+                               cfg.s, cfg.seed, n, ps, cfg.budget)
             reports += [_report(cfg, n, a, p, [outcomes[i] for _, outcomes in rows])
                         for i, (a, p) in enumerate(zip(alphas, ps))]
     if cfg.out_path:
@@ -304,11 +311,12 @@ def _pearson(xs: list[int], ys: list[int]) -> float:
     return cov / math.sqrt(vx * vy)
 
 
-def _counts(make_count, s: int, n: int, p: float, trials: int, seed: int, jobs: int) -> list:
+def _counts(make_count, s: int, n: int, p: float, trials: int, seed: int, jobs: int,
+            budget: Optional[int]) -> list:
     """The count `make_count()` gives each trial's draw at p, in trial order.
     The sampler's C(n, s) check, the only budget met, fails all trials alike."""
     with _pool(jobs) as pool:
-        rows = _run_trials(pool, jobs, trials, make_count, s, seed, n, [p])
+        rows = _run_trials(pool, jobs, trials, make_count, s, seed, n, [p], budget)
     counts = [c for _, (c,) in rows]
     if None in counts:
         raise BudgetExceeded(f"{counts.count(None)} of {trials} trials ran over the budget")
@@ -334,14 +342,16 @@ def _copy_counter(patterns, auts, cap):
 
 def copy_count_distribution(patterns, n: int, trials: int, seed: int,
                             p: Optional[float] = None,
-                            cap: Optional[int] = None, jobs: int = 1) -> CopyCountReport:
+                            cap: Optional[int] = None, jobs: int = 1,
+                            budget: Optional[int] = None) -> CopyCountReport:
     """Per-trial copy counts of one or more strictly balanced patterns.
 
     Defaults p to the pattern's own threshold n^{-v/e}.  Reports the
     empirical histogram, mean, limiting Poisson rate 1/aut, and the TV
     distance to that Poisson law; with several patterns (which must share
     one density) also the pairwise count correlations.  Any `jobs` gives
-    the same report; a trial over the sampler's budget raises BudgetExceeded.
+    the same report; a trial over the sampler's `budget` (its default when
+    None) raises BudgetExceeded.
     """
     _check_sizes(trials, jobs)
     if isinstance(patterns, Hypergraph):
@@ -363,7 +373,7 @@ def copy_count_distribution(patterns, n: int, trials: int, seed: int,
         p = p_from_alpha(n, 1 / rho)
     auts = [automorphism_count(g, cap=cap) for g in patterns]
     counts = list(zip(*_counts(partial(_copy_counter, patterns, auts, cap),
-                               patterns[0].s, n, p, trials, seed, jobs)))
+                               patterns[0].s, n, p, trials, seed, jobs, budget)))
     rates = [1.0 / aut for aut in auts]
     histograms, means, tvs = zip(*map(_fit, counts, rates))
     correlations = tuple(
@@ -410,7 +420,8 @@ def _unextendable_counter(pair: RootedPair, cap):
 
 def unextendable_copy_count(pair: RootedPair, n: int, trials: int, seed: int,
                             p: Optional[float] = None,
-                            cap: Optional[int] = None, jobs: int = 1) -> UnextendableReport:
+                            cap: Optional[int] = None, jobs: int = 1,
+                            budget: Optional[int] = None) -> UnextendableReport:
     """Distribution of unextendable root-structure copies in G^s(n, p).
 
     Validates the limiting-rate hypotheses exactly (strict balance of the
@@ -433,7 +444,7 @@ def unextendable_copy_count(pair: RootedPair, n: int, trials: int, seed: int,
     if trivial:
         return UnextendableReport(n, p, trials, {0: trials}, 0.0, 0.0, 0.0)
     counts = _counts(partial(_unextendable_counter, pair, cap),
-                     pair.g.s, n, p, trials, seed, jobs)
+                     pair.g.s, n, p, trials, seed, jobs, budget)
     hist, mean, tv = _fit(counts, rate)
     return UnextendableReport(n, p, trials, hist, mean, rate, tv)
 

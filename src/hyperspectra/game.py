@@ -6,9 +6,12 @@ tuples induce partially isomorphic substructures after every round: the
 correspondence must preserve equalities and edge membership in both
 directions.
 
-The optimal solver memoizes on the *set* of chosen pairs rather than the
-ordered tuples, since the win condition only depends on the
-correspondence.
+The optimal solver compares rank-k types (Ehrenfeucht-Fraisse): the
+rank-d type of a tuple of distinct vertices is the set of rank-(d-1)
+types of its extensions by one new vertex, each tagged with the edges
+the new vertex makes with the tuple.  Both boards intern their types in
+one table, so comparing two types is comparing small ints, and the work
+grows with the tuples of each board, not with pairs of them.
 """
 from __future__ import annotations
 
@@ -48,16 +51,15 @@ class GamePosition:
                     raise ValueError(f"{tag} vertex {x} outside board")
 
 
-def _position_budget(g1: Hypergraph, g2: Hypergraph, k: int) -> int:
-    return (g1.n + 1) ** k * (g2.n + 1) ** k
+def _spend(need: int, budget: Optional[int], what: str):
+    limit = DEFAULT_EVAL_BUDGET if budget is None else budget
+    if need > limit:
+        raise BudgetExceeded(f"{need} potential {what} exceed budget {limit}")
 
 
 def _check_budget(g1: Hypergraph, g2: Hypergraph, k: int, budget: Optional[int]):
-    limit = DEFAULT_EVAL_BUDGET if budget is None else budget
-    need = _position_budget(g1, g2, k)
-    if need > limit:
-        raise BudgetExceeded(
-            f"{need} potential positions exceed budget {limit}")
+    """The budget of a search over pairs of chosen tuples."""
+    _spend((g1.n + 1) ** k * (g2.n + 1) ** k, budget, "positions")
 
 
 def extends_partial_iso(g1: Hypergraph, g2: Hypergraph,
@@ -92,44 +94,56 @@ def extends_partial_iso(g1: Hypergraph, g2: Hypergraph,
     return True
 
 
-def _wins(g1: Hypergraph, g2: Hypergraph, pairs: frozenset,
-          rounds_left: int, memo: dict) -> bool:
-    if rounds_left == 0:
-        return True
-    key = (rounds_left, pairs)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    result = True
-    for side in (1, 2):
-        ga, gb = (g1, g2) if side == 1 else (g2, g1)
-        for x in range(ga.n):
-            survived = False
-            for y in range(gb.n):
-                a, b = (x, y) if side == 1 else (y, x)
-                if not extends_partial_iso(g1, g2, pairs, a, b):
-                    continue
-                if _wins(g1, g2, pairs | {(a, b)}, rounds_left - 1, memo):
-                    survived = True
-                    break
-            if not survived:
-                result = False
-                break
-        if not result:
-            break
-    memo[key] = result
-    return result
+def _type_children(g: Hypergraph, intern: dict):
+    """``children(u, d)`` for a tuple u of distinct vertices of g: the
+    frozenset of type ids of u + (v,) at depth d - 1 over every vertex v
+    outside u.  An id interns (label, children(u + (v,), d - 1)), where
+    the label is the bitmask of the (s-1)-subsets of u's positions that
+    form an edge with v.  A chosen vertex picked again only spends one of
+    Spoiler's rounds, and Duplicator answers it in kind, so repeats are
+    left out."""
+    memo: dict = {}
+    link: dict = {}  # sorted (s-1)-tuple -> the vertices completing it to an edge
+    for e in g.edges:
+        for i in range(g.s):
+            link.setdefault(e[:i] + e[i + 1:], []).append(e[i])
+
+    def children(u: tuple, d: int) -> frozenset:
+        if d == 0:
+            return frozenset()
+        got = memo.get((u, d))
+        if got is None:
+            labels = [0] * g.n
+            for bit, rest in enumerate(combinations(u, g.s - 1)):
+                for v in link.get(tuple(sorted(rest)), ()):
+                    labels[v] |= 1 << bit
+            got = memo[u, d] = frozenset(
+                intern.setdefault((labels[v], children(u + (v,), d - 1)), len(intern))
+                for v in range(g.n) if v not in u)
+        return got
+
+    return children
 
 
 def solve(g1: Hypergraph, g2: Hypergraph, k: int,
           budget: Optional[int] = None) -> str:
-    """Winner of the k-round game under optimal play."""
+    """Winner of the k-round game under optimal play.
+
+    Duplicator wins d rounds exactly when the empty tuple has the same
+    rank-d type on both boards; the first depth that tells them apart is
+    Spoiler's win.  The budget counts the tuples of each board.
+    """
     if g1.s != g2.s:
         raise ValueError("boards must share the same uniformity")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    _check_budget(g1, g2, k, budget)
-    return DUPLICATOR if _wins(g1, g2, frozenset(), k, {}) else SPOILER
+    _spend((g1.n + 1) ** k + (g2.n + 1) ** k, budget, "tuples")
+    intern: dict = {}
+    c1, c2 = _type_children(g1, intern), _type_children(g2, intern)
+    for d in range(1, k + 1):
+        if c1((), d) != c2((), d):
+            return SPOILER
+    return DUPLICATOR
 
 
 def mirror_strategy(pos: GamePosition, side: int, vertex: int) -> int:

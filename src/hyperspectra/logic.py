@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, ParseError, DEFAULT_EVAL_BUDGET
 from .hypergraph import Hypergraph
@@ -97,10 +98,7 @@ def free_vars(f: Formula) -> frozenset[str]:
         case Not(body):
             return free_vars(body)
         case And(parts) | Or(parts):
-            out: frozenset[str] = frozenset()
-            for p in parts:
-                out |= free_vars(p)
-            return out
+            return frozenset().union(*map(free_vars, parts))
         case Implies(left, right):
             return free_vars(left) | free_vars(right)
         case Exists(var, body) | Forall(var, body):
@@ -144,13 +142,10 @@ def to_text(f: Formula) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
-class _Token:
-    __slots__ = ("text", "line", "column")
-
-    def __init__(self, text: str, line: int, column: int):
-        self.text = text
-        self.line = line
-        self.column = column
+class _Token(NamedTuple):
+    text: str
+    line: int
+    column: int
 
 
 def _tokenize(text: str) -> list[_Token]:

@@ -1,12 +1,14 @@
 """Deliberately naive reference implementations used as test oracles.
 
 Everything here favors obviousness over speed: exhaustive subset and
-permutation scans, no pruning, no memoization.  Tests compare the real
+permutation scans, no pruning, and no memoization but the pair-set memo
+that lets `solve_by_pairs` check four-round games.  Tests compare the real
 code against these on small instances.
 """
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
@@ -627,3 +629,45 @@ def solve_unmemoized(g1: Hypergraph, g2: Hypergraph, k: int,
         return True
 
     return DUPLICATOR if rec((), (), k) else SPOILER
+
+
+def twelve_vertex_boards():
+    """A 3-graph on 12 vertices with no isolated vertex, a relabelled
+    copy, and the board with vertex 0's edges removed."""
+    rng = random.Random(12)
+    while True:
+        edges = rng.sample(list(itertools.combinations(range(12), 3)), 24)
+        if all(any(x in e for e in edges) for x in range(12)):
+            break
+    perm = rng.sample(range(12), 12)
+    return (Hypergraph(3, 12, edges),
+            Hypergraph(3, 12, [[perm[x] for x in e] for e in edges]),
+            Hypergraph(3, 12, [e for e in edges if 0 not in e]))
+
+
+def solve_by_pairs(g1: Hypergraph, g2: Hypergraph, k: int,
+                   budget: Optional[int] = None) -> str:
+    """Reference solver memoized on the *set* of chosen pairs: the win
+    condition depends only on the correspondence, not on the order in
+    which its pairs were chosen."""
+    if g1.s != g2.s:
+        raise ValueError("boards must share the same uniformity")
+    _check_budget(g1, g2, k, budget)
+    # one list per Spoiler pick (x on board 1, then y on board 2): the
+    # pairs Duplicator may answer with
+    moves = [[(x, y) for y in range(g2.n)] for x in range(g1.n)]
+    moves += [[(x, y) for x in range(g1.n)] for y in range(g2.n)]
+    memo: dict = {}
+
+    def wins(pairs: frozenset, rounds_left: int) -> bool:
+        if rounds_left == 0:
+            return True
+        key = (rounds_left, pairs)
+        if key not in memo:
+            memo[key] = all(any(extends_partial_iso(g1, g2, pairs, a, b)
+                                and wins(pairs | {(a, b)}, rounds_left - 1)
+                                for a, b in replies)
+                            for replies in moves)
+        return memo[key]
+
+    return DUPLICATOR if wins(frozenset(), k) else SPOILER

@@ -11,6 +11,8 @@ import pytest
 from hyperspectra.cli import frac_str, jsonable, main, parse_rational
 from hyperspectra.hypergraph import Hypergraph
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
@@ -41,6 +43,8 @@ def files(tmp_path_factory):
         pair=put("pair.json", {
             "g": Hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)]).to_json_dict(),
             "roots": 3, "h_edges": [[0, 1, 2]]}),
+        **{f"{name}12": put(f"{name}12.json", g.to_json())
+           for name, g in zip(("board", "twin", "holed"), oracles.twelve_vertex_boards())},
     )
 
 
@@ -107,6 +111,19 @@ class TestExitCodes:
             code, out, err = run(argv, capsys)
             assert (code, out) == (1, ""), argv
             assert err == "error: 3 of 3 trials ran over the budget\n"
+
+    def test_budget_reaches_the_sampler(self, files, capsys):
+        # the same studies as above fit once --budget covers C(400, 3)
+        for argv in (["poisson", "--pattern", files.edge3, "--n", "400", "--trials", "2"],
+                     ["unextendable", "--in", files.pair, "--n", "400", "--trials", "2"]):
+            code, out, err = run(argv + ["--budget", "20000000"], capsys)
+            assert code == 0, err
+            assert json.loads(out)["trials"] == 2
+        doc = run_json(["sweep", "--s", "3", "--n", "400", "--alphas", "2",
+                        "--builtin", "contains-edge", "--trials", "2",
+                        "--budget", "20000000"], capsys)
+        assert [c["budget_exceeded"] for c in doc["cells"]] == [0]
+        assert doc["cells"][0]["trials"] == 2
 
     def test_help_and_version(self, capsys):
         for argv in (["--help"], ["bounds", "--help"], ["--version"]):
@@ -220,6 +237,11 @@ class TestSubcommands:
         doc = run_json(["game", "--g1", files.edge3, "--g2", files.bare3,
                         "--k", "3", "--strategy", "extension"], capsys)
         assert doc["duplicator_wins"] is False
+        # k=4 on 12 vertices: a search over pairs of chosen tuples would need
+        # (13^4)^2 > 10^8 positions, over the default budget
+        for other, winner in ((files.twin12, "duplicator"), (files.holed12, "spoiler")):
+            doc = run_json(["game", "--g1", files.board12, "--g2", other, "--k", "4"], capsys)
+            assert doc["winner"] == winner
 
     def test_eval_document(self, files, capsys):
         doc = run_json(["eval", "--in", files.edge3, "--formula",

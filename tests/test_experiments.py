@@ -134,6 +134,20 @@ class TestConfig:
         assert a.digest() != c.digest()
         assert len(a.digest()) == 64
 
+    def test_budget_enters_the_digest_only_when_set(self):
+        prop = PropertySpec("builtin", builtin="contains-edge")
+        plain = ExperimentConfig(3, (20,), prop, 10, seed=1, p=0.1)
+        assert "budget" not in plain.describe()
+        assert ExperimentConfig(3, (20,), prop, 10, seed=1, p=0.1,
+                                budget=None).digest() == plain.digest()
+        capped = ExperimentConfig(3, (20,), prop, 10, seed=1, p=0.1, budget=5000)
+        assert capped.describe() == {**plain.describe(), "budget": 5000}
+        assert capped.digest() != plain.digest()
+        # the budget reaches the sampler: C(20, 3) = 1140 potential edges
+        assert estimate_probability(capped).budget_exceeded == 0
+        tight = ExperimentConfig(3, (20,), prop, 10, seed=1, p=0.1, budget=1000)
+        assert estimate_probability(tight).budget_exceeded == 10
+
 
 # a loose triangle: three distinct edges joining x-y, y-z and z-x
 LOOSE_TRIANGLE = (

@@ -76,6 +76,44 @@ class TestSolve:
             k = rng.randint(0, 3)
             assert solve(g1, g2, k) == oracles.solve_unmemoized(g1, g2, k)
 
+    def test_labels_name_the_positions_met(self):
+        # "two non-adjacent vertices, each with a neighbour" has depth 3 and
+        # holds only on the matching; a label that counted the edges a new
+        # vertex makes, not which chosen vertices they meet, would miss it
+        one = Hypergraph(2, 6, [(0, 5)])
+        matching = Hypergraph(2, 6, [(0, 2), (1, 4)])
+        assert solve(one, matching, 2) == DUPLICATOR
+        assert solve(one, matching, 3) == SPOILER == oracles.solve_by_pairs(one, matching, 3)
+
+    def test_matches_pair_set_reference_at_k4(self):
+        # relabelled copies give Duplicator's wins; copies with one edge
+        # toggled and independent boards mostly Spoiler's
+        rng = random.Random(66)
+        wins = {DUPLICATOR: 0, SPOILER: 0}
+        for i in range(60):
+            s, n = rng.choice((2, 3)), rng.randint(5, 7)
+            g1 = oracles.random_hypergraph(rng, s, n, rng.random())
+            perm = rng.sample(range(n), n)
+            edges = {tuple(sorted(perm[x] for x in e)) for e in g1.edges}
+            if i % 3 == 1:
+                edges ^= {tuple(sorted(rng.sample(range(n), s)))}
+            g2 = Hypergraph(s, n, edges)
+            if i % 3 == 2:
+                g2 = oracles.random_hypergraph(rng, s, rng.randint(5, 7), rng.random())
+            want = oracles.solve_by_pairs(g1, g2, 4)
+            assert solve(g1, g2, 4) == want
+            wins[want] += 1
+        assert min(wins.values()) >= 5, wins
+
+    def test_reach_at_k4_on_twelve_vertices(self):
+        board, twin, holed = oracles.twelve_vertex_boards()
+        assert solve(board, twin, 4) == DUPLICATOR
+        assert solve(board, holed, 4) == SPOILER
+        # a search over pairs of chosen tuples cannot afford either game
+        for other in (twin, holed):
+            with pytest.raises(BudgetExceeded):
+                oracles.solve_by_pairs(board, other, 4)
+
     def test_budget(self):
         big = Hypergraph(3, 40, [])
         with pytest.raises(BudgetExceeded):

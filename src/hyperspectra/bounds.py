@@ -21,7 +21,7 @@ from math import comb
 from typing import NamedTuple, Optional
 
 from .errors import (CapExceeded, HypothesisViolated, NoSplit,
-                     DEFAULT_ENUM_CAP, enum_cap)
+                     DEFAULT_ENUM_CAP, check_cap)
 from .extensions import RootedPair, is_strictly_balanced_pair, pair_density
 from .hypergraph import (Hypergraph, _embedding_search, _sparser, automorphism_count,
                          density, is_strictly_balanced)
@@ -310,9 +310,7 @@ def graph_law_classification(alpha, k: int) -> str:
 def automorphism_maps(g: Hypergraph, cap: Optional[int] = None):
     """Yield every automorphism of g as an image tuple: its embeddings
     into itself, searched in whichever of g and its complement is sparser."""
-    limit = enum_cap(DEFAULT_ENUM_CAP, cap)
-    if g.n > limit:
-        raise CapExceeded(f"{g.n} vertices exceed cap {limit} for map enumeration")
+    check_cap(g.n, DEFAULT_ENUM_CAP, cap, "map enumeration")
     h = _sparser(g)
     yield from _embedding_search(h, h, "collect")
 
@@ -321,13 +319,12 @@ def root_symmetry_counts(pair: RootedPair,
                          cap: Optional[int] = None) -> tuple[int, int, int]:
     """(aut of the root structure, how many of those extend to the whole,
     aut of the whole fixing every root)."""
-    g = pair.g
     r = pair.roots
-    h = Hypergraph(g.s, r, pair.h_edges)
+    h = pair.root_structure
     aut_h = automorphism_count(h, cap=cap)
     extendable = set()
     fixing = 0
-    for sigma in automorphism_maps(g, cap=cap):
+    for sigma in automorphism_maps(pair.g, cap=cap):
         if any(sigma[x] >= r for x in range(r)):
             continue
         restriction = sigma[:r]
@@ -350,8 +347,7 @@ def unextendable_poisson_rate(pair: RootedPair, cap: Optional[int] = None) -> fl
     balanced, the pair is strictly balanced, and the two densities
     agree.  HypothesisViolated names whichever check fails.
     """
-    g = pair.g
-    h = Hypergraph(g.s, pair.roots, pair.h_edges)
+    h = pair.root_structure
     if h.e == 0:
         raise HypothesisViolated("root structure has no edges")
     rho_h = density(h)

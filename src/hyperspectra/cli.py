@@ -410,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH",
                         help="also write the command's artifact to this file")
     common.add_argument("--budget", type=int, default=None,
-                        help="override enumeration caps and search budgets "
-                             "(env HYPERSPECTRA_BUDGET also works)")
+                        help="vertex cap of enumerations (HYPERSPECTRA_BUDGET sets only this) and "
+                             "work budget (edges C(n,s), game tuples or lines, eval nodes)")
 
     parser = argparse.ArgumentParser(
         prog="hyperspectra",

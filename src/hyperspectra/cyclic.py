@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapExceeded, NotInFamily, NoWitness, enum_cap, DEFAULT_DECOMP_CAP
+from .errors import NotInFamily, NoWitness, check_cap, enum_cap, DEFAULT_DECOMP_CAP
 from .hypergraph import Edge, Hypergraph, max_density, max_density_below
 
 State = tuple[frozenset[int], frozenset[Edge]]
@@ -180,9 +180,7 @@ def m_decomposition(g: Hypergraph, m: int,
     density bound only needs checking once on g itself: sub-hypergraph
     densities never exceed the whole's maximum.
     """
-    limit = enum_cap(DEFAULT_DECOMP_CAP, cap)
-    if g.n > limit:
-        raise CapExceeded(f"decomposition on {g.n} vertices exceeds cap {limit}")
+    check_cap(g.n, DEFAULT_DECOMP_CAP, cap, "decomposition")
     if g.n == 0:
         raise NotInFamily("the empty hypergraph is not a family member")
     if g.n == 1 and g.e == 0:

@@ -1,10 +1,10 @@
-"""Exception types and cap/budget plumbing shared across the package.
+"""Exception types, and the one place that resolves and enforces limits.
 
-Vertex-enumeration caps keep the exact combinatorial searches at desk
-scale.  They can be raised per call, or globally through the
-HYPERSPECTRA_BUDGET environment variable (an integer that replaces the
-default vertex caps).  Node/iteration budgets are separate and guard the
-evaluator and the samplers.
+`check_cap` guards an exact enumeration by its vertex count: the limit is
+the explicit cap, else the HYPERSPECTRA_BUDGET environment variable, else
+the default.  `check_budget` guards work counted before it starts: the
+limit is the explicit budget, else the default.  The evaluator counts its
+node visits down as it runs; the dense witness keeps its own vertex guard.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ DEFAULT_PAIR_CAP = 16        # subset enumeration over v(G, H)
 DEFAULT_EXTENSION_CAP = 8    # extension searches over v(G, H)
 DEFAULT_DECOMP_CAP = 20      # decomposition chain searches over v(G)
 DEFAULT_EDGE_BUDGET = 10**7  # potential edges C(n, s) a sampler may touch
-DEFAULT_EVAL_BUDGET = 10**8  # evaluator node visits / game tuples or positions
+DEFAULT_EVAL_BUDGET = 10**8  # evaluator node visits / game tuples or Spoiler lines
 
 
 class CapExceeded(RuntimeError):
@@ -73,3 +73,18 @@ def enum_cap(default: int, override: int | None = None) -> int:
         return int(raw)
     except ValueError as exc:
         raise ValueError(f"{ENV_BUDGET} must be an integer, got {raw!r}") from exc
+
+
+def check_cap(size: int, default: int, cap: int | None, what: str) -> None:
+    """Refuse an enumeration over `size` vertices past its cap."""
+    limit = enum_cap(default, cap)
+    if size > limit:
+        raise CapExceeded(f"{what} needs {size} vertices, {what} cap is {limit}")
+
+
+def check_budget(need: int, default: int, budget: int | None, what: str) -> None:
+    """Refuse `need` units of work past the budget.  The message is built
+    only on failure, since the sampler checks once per draw."""
+    limit = default if budget is None else budget
+    if need > limit:
+        raise BudgetExceeded(f"{need} {what} exceed budget {limit}")

@@ -392,7 +392,7 @@ def count_unextendable_copies(host: Hypergraph, pair: RootedPair,
     A copy counts as extendable when at least one of its embeddings
     admits a strict extension of the pair over the embedded root tuple.
     """
-    h = Hypergraph(pair.g.s, pair.roots, pair.h_edges)
+    h = pair.root_structure
     status: dict = {}
     for phi in _embedding_search(host, h, "collect"):
         key = (frozenset(phi),
@@ -437,7 +437,7 @@ def unextendable_copy_count(pair: RootedPair, n: int, trials: int, seed: int,
     trivial = pair.v_diff == 0 and not pair.pattern_edges
     rate = 0.0 if trivial else unextendable_poisson_rate(pair, cap=cap)
     if p is None:
-        h = Hypergraph(pair.g.s, pair.roots, pair.h_edges)
+        h = pair.root_structure
         if h.e == 0:  # only the trivial pair gets here: the rate needs root edges
             raise ValueError("p required when the root structure has no edges")
         p = p_from_alpha(n, Fraction(h.v, h.e))

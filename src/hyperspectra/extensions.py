@@ -11,17 +11,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 
-from .errors import (
-    CapExceeded,
-    DegeneratePair,
-    FormatError,
-    enum_cap,
-    DEFAULT_EXTENSION_CAP,
-    DEFAULT_PAIR_CAP,
-)
+from .errors import (DegeneratePair, FormatError, check_cap, DEFAULT_EXTENSION_CAP,
+                     DEFAULT_PAIR_CAP)
 from .hypergraph import Edge, Hypergraph, _embedding_search, from_json_dict
 
 
@@ -59,6 +53,11 @@ class RootedPair:
     @property
     def added_vertices(self) -> tuple[int, ...]:
         return tuple(range(self.roots, self.g.n))
+
+    @cached_property
+    def root_structure(self) -> Hypergraph:
+        """H as a hypergraph on the roots."""
+        return Hypergraph(self.g.s, self.roots, self.h_edges)
 
     @property
     def pattern_edges(self) -> tuple[Edge, ...]:
@@ -128,10 +127,7 @@ def _intermediate_sets(pair: RootedPair, cap: int | None):
     (that K would be H itself, excluded everywhere).  Edges are bitmasks
     of their added vertices, so W holds an edge iff its mask covers it.
     """
-    limit = enum_cap(DEFAULT_PAIR_CAP, cap)
-    if pair.v_diff > limit:
-        raise CapExceeded(
-            f"pair adds {pair.v_diff} vertices, intermediate cap is {limit}")
+    check_cap(pair.v_diff, DEFAULT_PAIR_CAP, cap, "intermediate")
     base = tuple(range(pair.roots))
     added = pair.added_vertices
     bits = tuple(1 << x for x in added)
@@ -263,9 +259,7 @@ def _strict_search(host: Hypergraph, root_tuple, pair: RootedPair, mode: str,
     for x in root_tuple:
         if not 0 <= x < host.n:
             raise ValueError(f"root {x} outside the host")
-    limit = enum_cap(DEFAULT_EXTENSION_CAP, cap)
-    if pair.v_diff > limit:
-        raise CapExceeded(f"pair adds {pair.v_diff} vertices, extension cap is {limit}")
+    check_cap(pair.v_diff, DEFAULT_EXTENSION_CAP, cap, "extension")
 
     pattern = pair.pattern_edges
     if any(e[-1] < pair.roots for e in pattern) or (pair.v_diff == 0 and pattern):

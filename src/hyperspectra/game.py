@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional
 
-from .errors import BudgetExceeded, NoWitness, DEFAULT_EVAL_BUDGET
+from .errors import NoWitness, check_budget, DEFAULT_EVAL_BUDGET
 from .hypergraph import Hypergraph
 from .logic import Formula, compile_formula, quantifier_depth
 
@@ -49,17 +49,6 @@ class GamePosition:
             for x in v:
                 if not 0 <= x < g.n:
                     raise ValueError(f"{tag} vertex {x} outside board")
-
-
-def _spend(need: int, budget: Optional[int], what: str):
-    limit = DEFAULT_EVAL_BUDGET if budget is None else budget
-    if need > limit:
-        raise BudgetExceeded(f"{need} potential {what} exceed budget {limit}")
-
-
-def _check_budget(g1: Hypergraph, g2: Hypergraph, k: int, budget: Optional[int]):
-    """The budget of a search over pairs of chosen tuples."""
-    _spend((g1.n + 1) ** k * (g2.n + 1) ** k, budget, "positions")
 
 
 def extends_partial_iso(g1: Hypergraph, g2: Hypergraph,
@@ -137,7 +126,7 @@ def solve(g1: Hypergraph, g2: Hypergraph, k: int,
         raise ValueError("boards must share the same uniformity")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    _spend((g1.n + 1) ** k + (g2.n + 1) ** k, budget, "tuples")
+    check_budget((g1.n + 1) ** k + (g2.n + 1) ** k, DEFAULT_EVAL_BUDGET, budget, "tuples")
     intern: dict = {}
     c1, c2 = _type_children(g1, intern), _type_children(g2, intern)
     for d in range(1, k + 1):
@@ -178,10 +167,11 @@ def extension_strategy(k: int) -> Strategy:
 
 def verify_strategy(g1: Hypergraph, g2: Hypergraph, k: int,
                     strat: Strategy, budget: Optional[int] = None) -> bool:
-    """True iff Duplicator following ``strat`` beats every Spoiler line."""
+    """True iff Duplicator following ``strat`` beats every Spoiler line;
+    the budget counts the (n1+n2)^k lines."""
     if g1.s != g2.s:
         raise ValueError("boards must share the same uniformity")
-    _check_budget(g1, g2, k, budget)
+    check_budget((g1.n + g2.n) ** k, DEFAULT_EVAL_BUDGET, budget, "Spoiler lines")
 
     def rec(chosen1: tuple, chosen2: tuple, rounds_left: int) -> bool:
         if rounds_left == 0:

@@ -15,7 +15,7 @@ from math import comb, factorial, perm
 from operator import ge
 from typing import NamedTuple
 
-from .errors import CapExceeded, FormatError, enum_cap, DEFAULT_ENUM_CAP
+from .errors import FormatError, check_cap, DEFAULT_ENUM_CAP
 from .maxflow import FlowNetwork
 
 Edge = tuple[int, ...]
@@ -272,9 +272,7 @@ def automorphism_count(g: Hypergraph, cap: int | None = None) -> int:
     embeddings into itself: an injective edge-preserving self-map of a
     finite hypergraph is onto its vertices and its edges.
     """
-    limit = enum_cap(DEFAULT_ENUM_CAP, cap)
-    if g.n > limit:
-        raise CapExceeded(f"automorphism search on {g.n} vertices exceeds cap {limit}")
+    check_cap(g.n, DEFAULT_ENUM_CAP, cap, "automorphism search")
     core_verts = [x for x in range(g.n) if g.degree(x) > 0]
     if not core_verts:
         return factorial(g.n)
@@ -562,9 +560,7 @@ def count_embeddings(host: Hypergraph, pattern: Hypergraph, cap: int | None = No
     `_peeled` is a private per-host memo of peeled edges, shared between
     the counts of several patterns on one host (see `_embedding_search`).
     """
-    limit = enum_cap(DEFAULT_ENUM_CAP, cap)
-    if pattern.n > limit:
-        raise CapExceeded(f"pattern on {pattern.n} vertices exceeds cap {limit}")
+    check_cap(pattern.n, DEFAULT_ENUM_CAP, cap, "pattern")
     return _embedding_search(host, pattern, "count", strict=induced, peeled=_peeled)
 
 
@@ -623,9 +619,7 @@ def is_isomorphic(g1: Hypergraph, g2: Hypergraph, cap: int | None = None) -> boo
         return False
     if sorted(g1.degree(x) for x in range(g1.n)) != sorted(g2.degree(x) for x in range(g2.n)):
         return False
-    limit = enum_cap(DEFAULT_ENUM_CAP, cap)
-    if g1.n > limit:
-        raise CapExceeded(f"isomorphism search on {g1.n} vertices exceeds cap {limit}")
+    check_cap(g1.n, DEFAULT_ENUM_CAP, cap, "isomorphism search")
     # injective edge-preserving map with equal edge counts is onto the edges
     return _embedding_search(g2, g1, "exists") > 0
 

@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import BudgetExceeded, DEFAULT_EDGE_BUDGET
+from .errors import check_budget, DEFAULT_EDGE_BUDGET
 from .hypergraph import Hypergraph
 
 
@@ -128,10 +128,7 @@ def sample_coupled(params: ModelParams, ps, budget: int | None = None) -> list[H
     if top == 0.0:
         return [Hypergraph(params.s, params.n, []) for _ in ps]
     total = comb(params.n, params.s)
-    limit = DEFAULT_EDGE_BUDGET if budget is None else budget
-    if total > limit:
-        raise BudgetExceeded(
-            f"C({params.n},{params.s}) = {total} potential edges exceeds budget {limit}")
+    check_budget(total, DEFAULT_EDGE_BUDGET, budget, "potential edges")
     stream = np.random.Philox(key=np.array([params.seed, params.trial_index], dtype=np.uint64))
     ranks, words = [], []
     for start in range(0, total, _BLOCK):

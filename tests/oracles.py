@@ -15,11 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from hyperspectra.errors import (BudgetExceeded, CapExceeded, DegeneratePair,
-                                 DEFAULT_PAIR_CAP, enum_cap)
+from hyperspectra.errors import (BudgetExceeded, DegeneratePair, DEFAULT_EVAL_BUDGET,
+                                 DEFAULT_PAIR_CAP, check_budget, check_cap)
 from hyperspectra.experiments import EstimateReport, wilson_interval
 from hyperspectra.extensions import PairClass, RootedPair, pair_density
-from hyperspectra.game import DUPLICATOR, SPOILER, _check_budget, extends_partial_iso
+from hyperspectra.game import DUPLICATOR, SPOILER, extends_partial_iso
 from hyperspectra.hypergraph import Hypergraph, contains_copy
 from hyperspectra.logic import (And, EdgeAtom, Equal, Exists, Forall, Formula,
                                 Implies, Not, Or, evaluate, parse)
@@ -447,10 +447,7 @@ def _brute_intermediate_sets(pair: RootedPair, cap: int | None):
     entry is skipped when the induced root edges equal E(H) exactly
     (that K would be H itself, excluded everywhere).
     """
-    limit = enum_cap(DEFAULT_PAIR_CAP, cap)
-    if pair.v_diff > limit:
-        raise CapExceeded(
-            f"pair adds {pair.v_diff} vertices, intermediate cap is {limit}")
+    check_cap(pair.v_diff, DEFAULT_PAIR_CAP, cap, "intermediate")
     base = tuple(range(pair.roots))
     added = pair.added_vertices
     for size in range(len(added) + 1):
@@ -602,12 +599,17 @@ def evaluate_visits(g: Hypergraph, f: Formula,
     return go(f, dict(assignment or {}))
 
 
+def _check_pairs(g1: Hypergraph, g2: Hypergraph, k: int, budget: Optional[int]):
+    """The budget of a search over pairs of chosen tuples."""
+    check_budget((g1.n + 1) ** k * (g2.n + 1) ** k, DEFAULT_EVAL_BUDGET, budget, "positions")
+
+
 def solve_unmemoized(g1: Hypergraph, g2: Hypergraph, k: int,
                      budget: Optional[int] = None) -> str:
     """Reference solver on raw ordered tuples, no memo table."""
     if g1.s != g2.s:
         raise ValueError("boards must share the same uniformity")
-    _check_budget(g1, g2, k, budget)
+    _check_pairs(g1, g2, k, budget)
 
     def rec(chosen1: tuple, chosen2: tuple, rounds_left: int) -> bool:
         if rounds_left == 0:
@@ -652,7 +654,7 @@ def solve_by_pairs(g1: Hypergraph, g2: Hypergraph, k: int,
     which its pairs were chosen."""
     if g1.s != g2.s:
         raise ValueError("boards must share the same uniformity")
-    _check_budget(g1, g2, k, budget)
+    _check_pairs(g1, g2, k, budget)
     # one list per Spoiler pick (x on board 1, then y on board 2): the
     # pairs Duplicator may answer with
     moves = [[(x, y) for y in range(g2.n)] for x in range(g1.n)]

@@ -143,6 +143,15 @@ class TestStrategies:
         g = Hypergraph(3, 6, [(0, 1, 2), (1, 3, 4)])
         assert verify_strategy(g, g, 3, mirror_strategy)
 
+    def test_budget_counts_spoiler_lines(self):
+        # 42^3 Spoiler lines fit the default budget; 22^6 pairs of tuples would not
+        rng = random.Random(21)
+        g = Hypergraph(3, 21, rng.sample(list(itertools.combinations(range(21), 3)), 42))
+        assert verify_strategy(g, g, 3, mirror_strategy)
+        big = Hypergraph(3, 40, [])
+        with pytest.raises(BudgetExceeded):  # 80^5 lines
+            verify_strategy(big, big, 5, mirror_strategy)
+
     def test_constant_strategy_loses(self):
         def constant(pos, side, vertex):
             return 0

@@ -1,6 +1,8 @@
 """Cyclic extension steps, decomposition chains, family membership."""
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -174,3 +176,17 @@ class TestFamilySampling:
             tail = 1 / gap - m        # = a/b, a <= m
             assert 0 <= tail.numerator <= m * tail.denominator
         assert seen_fractional > 0
+
+    def test_member_fingerprint(self):
+        """Twelve members per (s, m), each (s, m) from its own seeded rng.
+        The digest was recorded before rejected candidates were skipped by
+        their edge and vertex counts: a skip draws nothing from the rng, so
+        the stream, every member and its edge list stay the same."""
+        rows = []
+        for s, m in ((3, 2), (3, 3), (3, 4), (4, 2), (4, 3)):
+            rng = random.Random(1000 * s + m)
+            for _ in range(12):
+                g = random_family_member(s, m, rng, max_vertices=16)
+                rows.append([s, m, g.n, [list(e) for e in g.edges]])
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == "f88f421769fc3fdb08261a27a4d2879d59ac02c9641268e40b00127ed1a696b4"

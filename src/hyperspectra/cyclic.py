@@ -21,8 +21,8 @@ State = tuple[frozenset[int], frozenset[Edge]]
 
 def density_bound(s: int, m: int) -> Fraction:
     """Densities must stay strictly below m/(m(s-1) - 1)."""
-    if m < 1 or s < 2:
-        raise ValueError(f"need m >= 1 and s >= 2, got m={m}, s={s}")
+    if s < 2 or m * (s - 1) < 2:
+        raise ValueError(f"need s >= 2 and m(s-1) >= 2, got m={m}, s={s}")
     return Fraction(m, m * (s - 1) - 1)
 
 
@@ -159,13 +159,18 @@ def find_cyclic_m_extensions(host: Hypergraph, h_vertices, h_edges, m: int,
     h_vs = frozenset(h_vertices)
     h_es = frozenset(tuple(sorted(e)) for e in h_edges)
     cap = enum_cap(DEFAULT_DECOMP_CAP, budget_vertices)
+    bound = density_bound(host.s, m)
     found = []
     for move in extension_moves(host.s, set(host.edges), (h_vs, h_es), m):
-        if len(h_vs) + len(move.new_vertices) > cap:
+        n = len(h_vs) + len(move.new_vertices)
+        if n > cap:
             continue
+        e = len(h_es) + len(move.new_edges)
+        if e * bound.denominator >= bound.numerator * n:
+            continue  # the whole already reaches the bound
         grown = _as_abstract(host.s, h_vs | set(move.new_vertices),
                              h_es | set(move.new_edges))
-        if max_density_below(grown, density_bound(host.s, m)):
+        if max_density_below(grown, bound):
             found.append(move)
     found.sort(key=lambda mv: (mv.case, mv.new_edges))
     return found
@@ -246,6 +251,8 @@ def random_family_member(s: int, m: int, rng: random.Random,
         cand_es = es | set(move.new_edges)
         if len(cand_vs) > max_vertices:
             continue
+        if len(cand_es) * bound.denominator >= bound.numerator * len(cand_vs):
+            continue  # the whole already reaches the bound
         cand = _as_abstract(s, frozenset(cand_vs), frozenset(cand_es))
         if max_density_below(cand, bound):
             vs, es = cand_vs, cand_es

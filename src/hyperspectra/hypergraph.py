@@ -237,7 +237,8 @@ def is_strictly_balanced(g: Hypergraph) -> bool:
 
 def max_density_below(g: Hypergraph, q: Fraction) -> bool:
     """True iff every nonempty W has e(W)/|W| < q; the same answer as
-    max_density(g)[0] < q, from one max-flow at q.
+    max_density(g)[0] < q, from the counts e(g), v(g) when W = V(g)
+    already reaches q, and from one max-flow at q otherwise.
 
     If the flow falls short, some W is denser than q.  Otherwise every
     source arc is saturated, and a nonempty W with e(W)/|W| = q is the
@@ -249,6 +250,8 @@ def max_density_below(g: Hypergraph, q: Fraction) -> bool:
         raise ValueError("max_density undefined on the empty vertex set")
     if q <= 0:
         return False  # every W has e(W)/|W| >= 0
+    if g.e * q.denominator >= q.numerator * g.n:
+        return False  # W = V(g) already reaches q
     net, short = _density_flow(g, q)
     if short:
         return False

@@ -88,6 +88,12 @@ class TestExitCodes:
             assert code == 1, argv
             assert err.startswith("error:")
 
+    def test_decompose_needs_a_finite_bound(self, files, capsys):
+        # m(s-1) = 1 would put a zero under the bound m/(m(s-1) - 1)
+        code, out, err = run(["decompose", "--in", files.triangle, "--m", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: need s >= 2 and m(s-1) >= 2, got m=1, s=2\n"
+
     def test_jobs_only_on_monte_carlo_commands(self, files, capsys):
         for argv in (["density", "--in", files.edge3],
                      ["game", "--g1", files.edge3, "--g2", files.edge3, "--k", "2"],

@@ -11,6 +11,7 @@ import pytest
 from hyperspectra import cyclic
 from hyperspectra.cyclic import (
     density_bound,
+    extension_moves,
     find_cyclic_m_extensions,
     is_cyclic_m_extension,
     m_decomposition,
@@ -18,6 +19,8 @@ from hyperspectra.cyclic import (
 )
 from hyperspectra.errors import CapExceeded, NotInFamily
 from hyperspectra.hypergraph import Hypergraph, max_density
+
+import oracles
 
 # loose 3-cycle whose vertex 0 is interior to one edge: a closed path
 # grown out of 0 never returns to 0 itself, it closes onto the path
@@ -30,8 +33,10 @@ def test_density_bound_values():
     assert density_bound(3, 1) == 1
     assert density_bound(3, 3) == Fraction(3, 5)
     assert density_bound(4, 2) == Fraction(2, 5)
-    with pytest.raises(ValueError):
-        density_bound(3, 0)
+    assert density_bound(2, 2) == 2  # the smallest m(s-1) allowed
+    for s, m in ((3, 0), (2, 1), (2, 0), (3, -1), (1, 5)):
+        with pytest.raises(ValueError, match=r"m\(s-1\) >= 2"):
+            density_bound(s, m)
 
 
 class TestOneStep:
@@ -81,6 +86,34 @@ class TestFindExtensions:
         b = find_cyclic_m_extensions(host, {0, 5}, (), 3)
         assert a == b == sorted(a, key=lambda mv: (mv.case, mv.new_edges))
         assert any(mv.case == 3 for mv in a)  # the (0,5,6) edge itself
+
+    def test_matches_brute_filter(self):
+        """On random small hosts, the kept moves are the proposed ones whose
+        grown part is below the bound by exhaustive search; the counts
+        reject some of the others and a flow the rest."""
+        rng = random.Random(59)
+        verdicts = {"kept": 0, "counts": 0, "flow": 0}
+        for _ in range(40):
+            s = rng.choice((2, 3))
+            m = rng.randint(2, 4)
+            host = oracles.random_hypergraph(rng, s, rng.randint(s + 1, 8), rng.uniform(0.15, 0.4))
+            h_vs = frozenset(rng.sample(range(host.n), rng.randint(1, 3)))
+            h_es = frozenset(e for e in host.edges if h_vs.issuperset(e))
+            bound = density_bound(s, m)
+            want = []
+            for move in extension_moves(s, set(host.edges), (h_vs, h_es), m):
+                grown = cyclic._as_abstract(s, h_vs | set(move.new_vertices),
+                                            h_es | set(move.new_edges))
+                if oracles.brute_max_density(grown) < bound:
+                    want.append(move)
+                    verdicts["kept"] += 1
+                elif Fraction(grown.e, grown.n) >= bound:
+                    verdicts["counts"] += 1
+                else:
+                    verdicts["flow"] += 1
+            want.sort(key=lambda mv: (mv.case, mv.new_edges))
+            assert find_cyclic_m_extensions(host, h_vs, h_es, m) == want
+        assert min(verdicts.values()) >= 10, verdicts
 
 
 class TestDecomposition:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from hyperspectra import hypergraph
 from hyperspectra.hypergraph import (Hypergraph, is_strictly_balanced, max_density,
                                      max_density_below)
 from hyperspectra.maxflow import FlowNetwork
@@ -95,6 +96,23 @@ def test_below_ties_in_a_proper_subset():
     assert max_density(g)[0] == Fraction(1, 2)
     assert not max_density_below(g, Fraction(1, 2))
     assert max_density_below(g, Fraction(1, 2) + Fraction(1, 10**9))
+
+
+def test_below_counts_before_any_flow(monkeypatch):
+    """A whole hypergraph at or above q answers False from its edge and
+    vertex counts; only below q is a flow network built."""
+    class FlowBuilt(Exception):
+        pass
+
+    def no_flow(g, q):
+        raise FlowBuilt
+
+    monkeypatch.setattr(hypergraph, "_density_flow", no_flow)
+    cycle = Hypergraph(3, 6, [(0, 1, 2), (2, 3, 4), (1, 4, 5)])  # e/v = 1/2
+    assert not max_density_below(cycle, Fraction(1, 2))
+    assert not max_density_below(cycle, Fraction(2, 5))
+    with pytest.raises(FlowBuilt):
+        max_density_below(cycle, Fraction(3, 5))
 
 
 def test_below_empty_vertex_set():

@@ -162,12 +162,8 @@ def find_cyclic_m_extensions(host: Hypergraph, h_vertices, h_edges, m: int,
     bound = density_bound(host.s, m)
     found = []
     for move in extension_moves(host.s, set(host.edges), (h_vs, h_es), m):
-        n = len(h_vs) + len(move.new_vertices)
-        if n > cap:
+        if len(h_vs) + len(move.new_vertices) > cap:
             continue
-        e = len(h_es) + len(move.new_edges)
-        if e * bound.denominator >= bound.numerator * n:
-            continue  # the whole already reaches the bound
         grown = _as_abstract(host.s, h_vs | set(move.new_vertices),
                              h_es | set(move.new_edges))
         if max_density_below(grown, bound):

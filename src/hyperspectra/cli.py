@@ -15,17 +15,9 @@ from fractions import Fraction
 
 from . import __version__
 from .bounds import bounds_report
-from .errors import (
-    BudgetExceeded,
-    CapExceeded,
-    DegeneratePair,
-    FormatError,
-    HypothesisViolated,
-    NoSplit,
-    NotInFamily,
-    NoWitness,
-    ParseError,
-)
+from .errors import BudgetExceeded, CapExceeded, NotInFamily, NoWitness
+from .errors import (DEFAULT_DECOMP_CAP, DEFAULT_EDGE_BUDGET, DEFAULT_ENUM_CAP,
+                     DEFAULT_EVAL_BUDGET, DEFAULT_EXTENSION_CAP, DEFAULT_PAIR_CAP)
 from .extensions import (
     RootedPair,
     classify_pair,
@@ -60,20 +52,10 @@ from .experiments import (
     write_text,
 )
 
-RUNTIME_ERRORS = (
-    BudgetExceeded,
-    CapExceeded,
-    DegeneratePair,
-    FormatError,
-    HypothesisViolated,
-    NoSplit,
-    NotInFamily,
-    NoWitness,
-    ParseError,
-    ValueError,
-    ZeroDivisionError,
-    OSError,
-)
+# ValueError covers the library's input errors (FormatError, ParseError, ...);
+# RuntimeError itself would also catch RecursionError
+RUNTIME_ERRORS = (BudgetExceeded, CapExceeded, NotInFamily, NoWitness,
+                  ValueError, ZeroDivisionError, OSError)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +301,7 @@ def cmd_poisson(args):
     patterns = [load_hypergraph(path) for path in args.pattern]
     p, decimals = parse_p(args)
     rep = copy_count_distribution(patterns, args.n, args.trials, args.seed, p=p,
-                                  cap=args.budget, jobs=args.jobs, budget=args.budget)
+                                  jobs=args.jobs, budget=args.budget)
     return {"schema": "hyperspectra.poisson.v1", "n": rep.n, "p": rep.p,
             "trials": rep.trials,
             "histograms": [dict(h) for h in rep.histograms],
@@ -343,7 +325,7 @@ def cmd_unextendable(args):
     pair = load_pair(args.infile)
     p, decimals = parse_p(args)
     rep = unextendable_copy_count(pair, args.n, args.trials, args.seed, p=p,
-                                  cap=args.budget, jobs=args.jobs, budget=args.budget)
+                                  jobs=args.jobs, budget=args.budget)
     return {"schema": "hyperspectra.unextendable.v1", "n": rep.n, "p": rep.p,
             "trials": rep.trials, "histogram": dict(rep.histogram),
             "mean": rep.mean, "rate": rep.rate,
@@ -403,15 +385,10 @@ def cmd_schema_dump(args):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="deterministic RNG seed (default 0)")
     common.add_argument("--format", choices=["json", "csv", "text"],
                         default="json", help="output format (default json)")
     common.add_argument("--out", metavar="PATH",
                         help="also write the command's artifact to this file")
-    common.add_argument("--budget", type=int, default=None,
-                        help="vertex cap of enumerations (HYPERSPECTRA_BUDGET sets only this) and "
-                             "work budget (edges C(n,s), game tuples or lines, eval nodes)")
 
     parser = argparse.ArgumentParser(
         prog="hyperspectra",
@@ -422,17 +399,31 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True,
                                  metavar="SUBCOMMAND")
 
-    def sub(name, handler, help_text, jobs=False, infile=None, **kwargs):
+    def cap(what, default):
+        return f"vertex cap on {what} (default: HYPERSPECTRA_BUDGET, else {default})"
+
+    edges = f"budget of potential edges C(n, s) per draw (default {DEFAULT_EDGE_BUDGET})"
+
+    def sub(name, handler, help_text, seed=False, budget=None, jobs=False,
+            infile=None, **kwargs):
+        """Add a subcommand.  It gets --seed, --budget and --jobs only if its
+        handler reads them; `budget` is that option's help, naming its unit."""
         sp = subs.add_parser(name, parents=[common], help=help_text,
                              description=help_text, **kwargs)
-        if jobs:  # only the Monte Carlo studies shard their trials
+        if seed:
+            sp.add_argument("--seed", type=int, default=0,
+                            help="deterministic RNG seed (default 0)")
+        if budget:
+            sp.add_argument("--budget", type=int, default=None, help=budget)
+        if jobs:
             sp.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
         if infile:
             sp.add_argument("--in", dest="infile", required=True, help=infile)
         sp.set_defaults(handler=handler)
         return sp
 
-    sp = sub("sample", cmd_sample, "draw one hypergraph from G^s(n, p)")
+    sp = sub("sample", cmd_sample, "draw one hypergraph from G^s(n, p)",
+             seed=True, budget=edges)
     sp.add_argument("--s", type=int, required=True, help="edge size")
     sp.add_argument("--n", type=int, required=True, help="vertex count")
     group = sp.add_mutually_exclusive_group(required=True)
@@ -447,11 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub("classify-pair", cmd_classify_pair,
              "safe/rigid/neutral classification of a rooted pair at alpha",
+             budget=cap("the pair's added part", DEFAULT_PAIR_CAP),
              infile="pair JSON file {g, roots, h_edges}")
     sp.add_argument("--alpha", required=True, help="exponent, rational")
 
     sp = sub("extend", cmd_extend,
              "strict extensions of a rooted pair over given host roots",
+             budget=cap("the pair's added part", DEFAULT_EXTENSION_CAP),
              infile="pair JSON file")
     sp.add_argument("--host", required=True, help="host hypergraph JSON file")
     sp.add_argument("--roots", required=True,
@@ -461,10 +454,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub("decompose", cmd_decompose,
              "build chain showing membership in the bounded-density family",
+             budget=cap("the hypergraph", DEFAULT_DECOMP_CAP),
              infile="hypergraph JSON file")
     sp.add_argument("--m", type=int, required=True, help="family parameter")
 
-    sp = sub("game", cmd_game, "solve or verify the k-round comparison game")
+    sp = sub("game", cmd_game, "solve or verify the k-round comparison game",
+             budget="budget of board tuples (optimal) or Spoiler lines (mirror, "
+                    f"extension) (default {DEFAULT_EVAL_BUDGET})")
     sp.add_argument("--g1", required=True, help="first board JSON file")
     sp.add_argument("--g2", required=True, help="second board JSON file")
     sp.add_argument("--k", type=int, required=True, help="round count")
@@ -474,6 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "that duplicator strategy exhaustively")
 
     sp = sub("eval", cmd_eval, "evaluate a closed formula on a hypergraph",
+             budget=f"budget of evaluator node visits (default {DEFAULT_EVAL_BUDGET})",
              infile="hypergraph JSON file")
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--formula", help="inline s-expression formula")
@@ -482,6 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub(
         "bounds", cmd_bounds,
         "closed-form zero-one law calculators",
+        budget="vertex cap on theorem 7's witness (default 10000; "
+               "HYPERSPECTRA_BUDGET does not reach it)",
         epilog="required flags per calculator: 6 and 8 need --s --k; "
                "7 needs --s --k (writes a witness; raise --budget above the "
                "witness size when it exceeds 10000 vertices); 9 needs --s "
@@ -500,7 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="alias for --format")
 
     sp = sub("sweep", cmd_sweep,
-             "containment probability estimates over an (n, alpha) grid", jobs=True)
+             "containment probability estimates over an (n, alpha) grid",
+             seed=True, budget=edges, jobs=True)
     sp.add_argument("--s", type=int, required=True, help="edge size")
     sp.add_argument("--n", required=True,
                     help="comma-separated vertex counts")
@@ -515,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="named built-in property")
 
     sp = sub("poisson", cmd_poisson,
-             "copy-count distribution against the limiting Poisson law", jobs=True)
+             "copy-count distribution against the limiting Poisson law",
+             seed=True, budget=edges, jobs=True)
     sp.add_argument("--pattern", action="append", required=True,
                     help="pattern JSON file (repeat for joint counts)")
     sp.add_argument("--n", type=int, required=True, help="vertex count")
@@ -525,6 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub("count-copies", cmd_count_copies,
              "embeddings, copies, and automorphisms of a pattern in a host",
+             budget=cap("the pattern", DEFAULT_ENUM_CAP),
              infile="host hypergraph JSON file")
     sp.add_argument("--pattern", required=True,
                     help="pattern hypergraph JSON file")
@@ -532,8 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="require the image to carry no extra edges")
 
     sp = sub("unextendable", cmd_unextendable,
-             "distribution of root-structure copies with no strict extension", jobs=True,
-             infile="pair JSON file")
+             "distribution of root-structure copies with no strict extension",
+             seed=True, budget=edges, jobs=True, infile="pair JSON file")
     sp.add_argument("--n", type=int, required=True, help="vertex count")
     sp.add_argument("--trials", type=int, required=True, help="sample count")
     sp.add_argument("--p", default=None,

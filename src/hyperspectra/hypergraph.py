@@ -292,7 +292,6 @@ class _SearchPlan(NamedTuple):
     # per step: (placed vertices of the edge, new vertices, edges to check
     # as each new vertex lands, the edge's profile if it starts a component)
     steps: tuple[tuple, ...]
-    connected: bool  # one component and no roots
 
 
 @lru_cache(maxsize=256)
@@ -340,9 +339,8 @@ def _search_plan(pattern: Hypergraph, roots: int = 0) -> _SearchPlan:
     profiles = set(profile.values())
     minimal = tuple(sorted(p for p in profiles
                            if not any(q != p and all(map(ge, p, q)) for q in profiles)))
-    starts = sum(1 for st in steps if not st[0])
     return _SearchPlan(deg, tuple(x for x in range(pattern.n) if x not in placed),
-                       minimal, tuple(steps), roots == 0 and starts == 1)
+                       minimal, tuple(steps))
 
 
 def _hops(pattern: Hypergraph, skip: Edge, start, goal) -> int:
@@ -428,11 +426,10 @@ def _embedding_search(host: Hypergraph, pattern: Hypergraph, mode: str, *,
     that is the induced condition.
 
     The host is first peeled (`_peel`); candidates come from what
-    survives, the strict rule reads every host edge.  A connected pattern
-    without roots then needs a host component with enough edges and
-    vertices.  `peeled`, a dict the caller keeps for one host, shares the
-    peeled edges between searches whose patterns have the same minimal
-    profiles; it only serves searches without `forbidden`.
+    survives, the strict rule reads every host edge.  `peeled`, a dict
+    the caller keeps for one host, shares the peeled edges between
+    searches whose patterns have the same minimal profiles; it only
+    serves searches without `forbidden`.
     """
     if pattern.s != host.s:
         raise ValueError("pattern and host must share the same uniformity")
@@ -497,9 +494,6 @@ def _embedding_search(host: Hypergraph, pattern: Hypergraph, mode: str, *,
     else:
         edges = peeled[plan.profiles] = _peel(clear, plan.profiles)
     if len(edges) < pattern.e:
-        return result(0)
-    if plan.connected and not _has_component_at_least(edges, pattern.e,
-                                                      pattern.n - len(loose)):
         return result(0)
     deg, inc = _incidence(edges)
     # a root image left without edges by peeling offers no candidates
@@ -587,34 +581,6 @@ def contains_copy(host: Hypergraph, pattern: Hypergraph) -> bool:
     if pattern.e > host.e or pattern.n > host.n:
         return False
     return _embedding_search(host, pattern, "exists") > 0
-
-
-def _has_component_at_least(edges, min_edges: int, min_verts: int) -> bool:
-    """Does some component of these edges have that many edges and vertices?"""
-    parent = {x: x for f in edges for x in f}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for f in edges:
-        r = find(f[0])
-        for y in f[1:]:
-            ry = find(y)
-            if ry != r:
-                parent[ry] = r
-    edge_count: dict[int, int] = {}
-    vert_count: dict[int, int] = {}
-    for f in edges:
-        r = find(f[0])
-        edge_count[r] = edge_count.get(r, 0) + 1
-    for x in parent:
-        r = find(x)
-        vert_count[r] = vert_count.get(r, 0) + 1
-    return any(c >= min_edges and vert_count[r] >= min_verts
-               for r, c in edge_count.items())
 
 
 def is_isomorphic(g1: Hypergraph, g2: Hypergraph, cap: int | None = None) -> bool:

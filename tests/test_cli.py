@@ -1,5 +1,6 @@
 """End-to-end CLI checks: exit codes, formats, schemas, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hyperspectra.cli import frac_str, jsonable, main, parse_rational
+from hyperspectra.cli import build_parser, frac_str, jsonable, main, parse_rational
 from hyperspectra.hypergraph import Hypergraph
 
 import oracles
@@ -46,6 +47,10 @@ def files(tmp_path_factory):
         **{f"{name}12": put(f"{name}12.json", g.to_json())
            for name, g in zip(("board", "twin", "holed"), oracles.twelve_vertex_boards())},
     )
+
+
+SUBCOMMANDS = next(action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
 
 
 def run(argv, capsys):
@@ -110,6 +115,36 @@ class TestExitCodes:
             code, out, err = run(argv + ["--jobs", "0"], capsys)
             assert (code, out, err) == (1, "", "error: jobs must be at least 1\n"), argv
 
+    def test_seed_and_budget_only_where_read(self, files, capsys):
+        for argv in (["density", "--in", files.edge3],
+                     ["game", "--g1", files.edge3, "--g2", files.edge3, "--k", "2"],
+                     ["bounds", "--theorem", "8", "--s", "3", "--k", "5"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv + ["--seed", "1"])
+            assert info.value.code == 2, argv
+        for argv in (["density", "--in", files.edge3],
+                     ["balance", "--in", files.edge3],
+                     ["schema-dump"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv + ["--budget", "100"])
+            assert info.value.code == 2, argv
+
+    def test_count_study_budget_is_only_the_samplers(self, files, capsys, monkeypatch):
+        # a loose 3-uniform 7-cycle has 14 vertices, past the default
+        # automorphism cap of 12; --budget raises only the sampler's budget
+        loop = files.dir / "loop7.json"
+        loop.write_text(Hypergraph(3, 14, [(2 * i, 2 * i + 1, (2 * i + 2) % 14)
+                                           for i in range(7)]).to_json())
+        argv = ["poisson", "--pattern", str(loop), "--n", "20", "--trials", "2"]
+        for extra in ([], ["--budget", "1000000"]):
+            code, out, err = run(argv + extra, capsys)
+            assert (code, out) == (1, ""), extra
+            assert "cap is 12" in err
+        monkeypatch.setenv("HYPERSPECTRA_BUDGET", "14")
+        code, out, err = run(argv, capsys)
+        assert code == 0, err
+        assert json.loads(out)["trials"] == 2
+
     def test_count_studies_over_budget(self, files, capsys):
         # C(400, 3) potential edges exceed the sampler's default budget
         for argv in (["poisson", "--pattern", files.edge3, "--n", "400", "--trials", "3"],
@@ -131,11 +166,13 @@ class TestExitCodes:
         assert [c["budget_exceeded"] for c in doc["cells"]] == [0]
         assert doc["cells"][0]["trials"] == 2
 
-    def test_help_and_version(self, capsys):
-        for argv in (["--help"], ["bounds", "--help"], ["--version"]):
-            with pytest.raises(SystemExit) as info:
-                main(argv)
-            assert info.value.code == 0
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"]] + [
+        [name, "--help"] for name in SUBCOMMANDS],
+        ids=lambda argv: "_".join(arg.strip("-") for arg in argv))
+    def test_help_and_version(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
 
     def test_console_script_installed(self):
         proc = subprocess.run([sys.executable, "-m", "hyperspectra.cli",

@@ -383,6 +383,17 @@ def cmd_schema_dump(args):
 # Parser assembly.
 
 
+def positive_int(text: str) -> int:
+    """An integer of at least 1; anything else is a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "csv", "text"],
@@ -414,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--seed", type=int, default=0,
                             help="deterministic RNG seed (default 0)")
         if budget:
-            sp.add_argument("--budget", type=int, default=None, help=budget)
+            sp.add_argument("--budget", type=positive_int, default=None, help=budget)
         if jobs:
             sp.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
         if infile:

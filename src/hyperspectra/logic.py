@@ -289,15 +289,25 @@ def compile_formula(f: Formula, s: int,
     check runs f on an s-uniform host g with free[i] bound to values[i],
     with the same short-circuits and the same node-visit budget as a walk
     of the tree.  Every closure takes one list: slot 0 holds the visits
-    left, slot 1 the host's edges as frozensets, slot 2 its vertex range;
-    each free name and each quantifier gets a slot of its own after that,
-    so a re-bound name needs no save and restore.  Unbound names and edge
+    left, slot 1 the host's edges as frozensets, slot 2 its vertex range,
+    slot 3 its link table (None unless f has a guarded exists); each free
+    name and each quantifier gets a slot of its own after that, so a
+    re-bound name needs no save and restore.  Unbound names and edge
     atoms of the wrong arity raise ValueError only when visited.
+
+    An exists whose body is an edge atom, or an and that starts with one,
+    where the atom names the new variable once and its other terms are
+    bound (see _edge_guard), walks only the link of those terms: the
+    vertices that complete them to an edge, ascending.  Any other vertex
+    makes the body false after a fixed number of visits, so each skipped
+    stretch is charged that many visits per vertex at once and the budget
+    count stays exact.  Every other quantifier loops over all n vertices.
     """
-    width = 3 + len(free)
+    width = 4 + len(free)
+    guarded = False
 
     def build(node: Formula, scope: dict[str, int]):
-        nonlocal width
+        nonlocal width, guarded
         match node:
             case Equal(left, right):
                 if (loose := _first_unbound((left, right), scope)) is not None:
@@ -350,6 +360,31 @@ def compile_formula(f: Formula, s: int,
                     if env[0] < 0:
                         _out_of_budget()
                     return not first(env) or second(env)
+            case Exists(var, body) if (guard := _edge_guard(var, body, scope, s)):
+                slots, miss = guard
+                # a repeated slot leaves the key unchanged and makes
+                # itemgetter return a tuple when s = 2
+                key = itemgetter(*slots, slots[0])
+                k, width, guarded = width, width + 1, True
+                inner = build(body, {**scope, var: k})
+
+                def run(env):
+                    env[0] -= 1
+                    if env[0] < 0:
+                        _out_of_budget()
+                    nxt = 0  # first vertex not yet charged
+                    for x in env[3].get(frozenset(key(env)), ()):
+                        env[0] -= miss * (x - nxt)
+                        if env[0] < 0:
+                            _out_of_budget()
+                        env[k] = x
+                        if inner(env):
+                            return True
+                        nxt = x + 1
+                    env[0] -= miss * (len(env[2]) - nxt)
+                    if env[0] < 0:
+                        _out_of_budget()
+                    return False
             case Exists(var, body) | Forall(var, body):
                 k, width, stop = width, width + 1, isinstance(node, Exists)
                 inner = build(body, {**scope, var: k})
@@ -367,7 +402,7 @@ def compile_formula(f: Formula, s: int,
                 raise TypeError(f"not a formula: {node!r}")
         return run
 
-    root = build(f, {name: 3 + i for i, name in enumerate(free)})
+    root = build(f, {name: 4 + i for i, name in enumerate(free)})
 
     def check(g: Hypergraph, values: tuple[int, ...] = (), budget: int | None = None) -> bool:
         if g.s != s:
@@ -378,11 +413,45 @@ def compile_formula(f: Formula, s: int,
             if not 0 <= vertex < g.n:
                 raise ValueError(f"assignment sends {name} to {vertex}, outside 0..{g.n - 1}")
         env = [DEFAULT_EVAL_BUDGET if budget is None else budget,
-               {frozenset(e) for e in g.edges}, range(g.n), *values]
+               {frozenset(e) for e in g.edges}, range(g.n),
+               _links(g) if guarded else None, *values]
         env.extend([0] * (width - len(env)))
         return root(env)
 
     return check
+
+
+def _edge_guard(var: str, body: Formula, scope: dict[str, int],
+                s: int) -> tuple[tuple[int, ...], int] | None:
+    """(slots, miss) when body is false after exactly miss visits for
+    every value of var outside the link of the values in slots.
+
+    That holds when body is an edge atom (miss 1) or an and whose first
+    part is one (miss 2), the atom has arity s, names var once, and its
+    other terms are bound in scope; slots are theirs.  None otherwise.
+    """
+    match body:
+        case EdgeAtom(terms):
+            miss = 1
+        case And((EdgeAtom(terms), *_)):
+            miss = 2
+        case _:
+            return None
+    rest = [t for t in terms if t != var]
+    if len(terms) != s or len(rest) != s - 1 or any(t not in scope for t in rest):
+        return None
+    return tuple(scope[t] for t in rest), miss
+
+
+def _links(g: Hypergraph) -> dict[frozenset, list[int]]:
+    """Each (s-1)-set inside an edge of g -> the vertices completing it, ascending."""
+    links: dict[frozenset, list[int]] = {}
+    for e in g.edges:
+        for z in e:
+            links.setdefault(frozenset(e) - {z}, []).append(z)
+    for completions in links.values():
+        completions.sort()
+    return links
 
 
 def _first_unbound(names, scope: dict[str, int]) -> str | None:

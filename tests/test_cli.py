@@ -129,6 +129,21 @@ class TestExitCodes:
                 main(argv + ["--budget", "100"])
             assert info.value.code == 2, argv
 
+    def test_budget_below_one_is_a_usage_error(self, files, capsys):
+        # no work fits a budget below 1: refused as usage, not run to fail
+        for argv in (["sweep", "--s", "3", "--n", "10", "--trials", "3", "--format", "csv",
+                      "--builtin", "contains-edge", "--alphas", "1,2"],
+                     ["eval", "--in", files.edge3, "--formula", "(exists x (= x x))"],
+                     ["game", "--g1", files.edge3, "--g2", files.edge3, "--k", "2"],
+                     ["count-copies", "--in", files.path5, "--pattern", files.edge3]):
+            for bad in ("-1", "0", "-5", "1.5"):
+                with pytest.raises(SystemExit) as info:
+                    main(argv + ["--budget", bad])
+                assert info.value.code == 2, (argv, bad)
+                assert "argument --budget" in capsys.readouterr().err
+            code, _, err = run(argv + ["--budget", "1000"], capsys)
+            assert code == 0, (argv, err)
+
     def test_count_study_budget_is_only_the_samplers(self, files, capsys, monkeypatch):
         # a loose 3-uniform 7-cycle has 14 vertices, past the default
         # automorphism cap of 12; --budget raises only the sampler's budget

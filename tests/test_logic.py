@@ -11,10 +11,15 @@ from hyperspectra.bounds import build_two_cycle_witness
 from hyperspectra.errors import BudgetExceeded, ParseError
 from hyperspectra.hypergraph import Hypergraph
 from hyperspectra.logic import (
+    And,
     EdgeAtom,
     Equal,
     Exists,
+    Forall,
+    Implies,
+    Not,
     Or,
+    _edge_guard,
     build_B,
     build_C,
     build_D,
@@ -94,6 +99,134 @@ def test_budget_matches_visit_count_reference():
             assert evaluate(g, f, env, budget=visits) == value
             with pytest.raises(BudgetExceeded):
                 evaluate(g, f, env, budget=visits - 1)
+
+
+def assert_budget_exact(g, f, env):
+    """evaluate agrees with the visit reference on value and budget."""
+    value, visits = oracles.evaluate_visits(g, f, env)
+    assert evaluate(g, f, env, budget=visits) == value
+    with pytest.raises(BudgetExceeded):
+        evaluate(g, f, env, budget=visits - 1)
+    return value
+
+
+@pytest.mark.parametrize("s", (2, 3, 4))
+def test_builders_match_visit_reference(s):
+    # the builders are where edge-guarded exists loops occur; the random
+    # corpus above rarely produces one
+    formulas = ([build_D(i, s) for i in (1, 2, 3)] + [build_D_eq(i, s) for i in (1, 2, 3)]
+                + [build_Dtilde(i, s) for i in (1, 2, 3)] + [build_B(i, s) for i in (2, 3)]
+                + [build_C(i, s) for i in (1, 2)])
+    rng = random.Random(600 + s)
+    seen = set()
+    for f in formulas:
+        for _ in range(6):
+            g = oracles.random_hypergraph(rng, s, rng.randint(s, 8), rng.uniform(0.05, 0.3))
+            env = {name: rng.randrange(g.n) for name in sorted(free_vars(f))}
+            seen.add(assert_budget_exact(g, f, env))
+    assert seen == {False, True}
+
+
+def test_two_cycle_sentence_matches_visit_reference():
+    # the reference walks every vertex, so hosts stay small: random hosts
+    # of 8 vertices and the 15-vertex planted witness (about 0.5 s)
+    L = build_thm9_L(2, 1, 1, 3)
+    rng = random.Random(909)
+    for _ in range(6):
+        assert not assert_budget_exact(
+            oracles.random_hypergraph(rng, 3, 8, rng.uniform(0.05, 0.3)), L, {})
+    assert assert_budget_exact(build_two_cycle_witness(3, 2, 1, 1), L, {})
+
+
+class TestEdgeGuard:
+    # vertices 0, 1 complete to an edge only with 9, far from the start
+    FAR = Hypergraph(3, 12, [(0, 1, 9), (2, 3, 4), (3, 4, 11)])
+
+    def test_repeated_bound_term(self):
+        for text in ("(exists v (N a v a))", "(exists v (and (N a v a) (= v v)))"):
+            f = parse(text, 3)
+            for a in range(EDGE3.n):
+                assert not assert_budget_exact(EDGE3, f, {"a": a})
+
+    def test_shadowed_variable(self):
+        for text in ("(exists x (N x y z))",
+                     "(and (exists x (and (N x y z) (not (= x y)))) (not (= x y)))",
+                     "(exists y (exists x (and (N x y z) (exists x (N x y z)))))"):
+            f = parse(text, 3)
+            for x, y, z in itertools.product(range(self.FAR.n), (0, 3, 9), (1, 4)):
+                assert_budget_exact(self.FAR, f, {"x": x, "y": y, "z": z})
+
+    def test_one_bound_term_when_s_is_two(self):
+        path = Hypergraph(2, 6, [(0, 4), (1, 4), (4, 5)])
+        for text in ("(exists v (N a v))", "(exists v (and (N v a) (exists w (N v w))))",
+                     "(exists v (and (N a v) (not (= v a)) (forall w (N v w))))"):
+            f = parse(text, 2)
+            for a in range(path.n):
+                assert_budget_exact(path, f, {"a": a})
+
+    def test_unbound_later_part_fails_only_in_the_link(self):
+        f = parse("(exists v (and (N a b v) (= v q)))", 3)
+        # same walk with a bound last part: it stops where q would be read
+        reach = parse("(exists v (and (N a b v) (= v v)))", 3)
+        for a, b in itertools.product(range(self.FAR.n), repeat=2):
+            env = {"a": a, "b": b}
+            value, visits = oracles.evaluate_visits(self.FAR, reach, env)
+            if not value:  # empty link: q is never read
+                assert not assert_budget_exact(self.FAR, f, env)
+                continue
+            with pytest.raises(ValueError, match="unbound variable 'q'"):
+                evaluate(self.FAR, f, env, budget=visits)
+            with pytest.raises(BudgetExceeded):
+                evaluate(self.FAR, f, env, budget=visits - 1)
+
+    def test_budget_runs_out_inside_a_skipped_stretch(self):
+        # 1 + 2 * 9 visits reach vertex 9 and 3 more find the edge; the
+        # stretch 10..11 after a false body costs 4
+        env = {"a": 0, "b": 1}
+        for text, least in (("(exists v (and (N a b v) (= v v)))", 22),
+                            ("(exists v (and (N a b v) (not (= v v))))", 27)):
+            f = parse(text, 3)
+            assert oracles.evaluate_visits(self.FAR, f, env)[1] == least
+            for budget in range(least):
+                with pytest.raises(BudgetExceeded,
+                                   match="evaluation node-visit budget exhausted"):
+                    evaluate(self.FAR, f, env, budget=budget)
+            evaluate(self.FAR, f, env, budget=least)
+
+
+def _exists_guards(f, s, scope):
+    """(var, _edge_guard) of each exists in f, in pre-order, each with the
+    names bound above it in scope."""
+    match f:
+        case Exists(var, body):
+            inner = _exists_guards(body, s, {**scope, var: len(scope)})
+            return [(var, _edge_guard(var, body, scope, s)), *inner]
+        case Forall(var, body):
+            return _exists_guards(body, s, {**scope, var: len(scope)})
+        case Not(body):
+            return _exists_guards(body, s, scope)
+        case And(parts) | Or(parts):
+            return [pair for p in parts for pair in _exists_guards(p, s, scope)]
+        case Implies(left, right):
+            return _exists_guards(left, s, scope) + _exists_guards(right, s, scope)
+    return []
+
+
+def test_edge_guard_fires_on_the_cycle_formula():
+    # budgets are the same either way, so only this test sees the fast path
+    guards = dict(_exists_guards(build_C(2, 3), 3, {"x1": 0}))
+    assert {var for var, guard in guards.items() if guard} == {
+        "x5", "x6", "x7", "x8", "x10", "x11", "x12", "x14", "x15"}
+    assert {var for var, guard in guards.items() if guard is None} == {
+        "x2", "x3", "x4", "x9", "x13"}
+    assert [guards[var][1] for var in ("x5", "x12", "x14", "x15")] == [1, 1, 2, 2]
+    scope = {"a": 0, "b": 1}
+    for text in ("(N a v v)", "(or (N a b v) (= v v))", "(N a b w)", "(N a v w)",
+                 "(and (= v v) (N a b v))", "(not (N a b v))"):
+        assert _edge_guard("v", parse(text, 3), scope, 3) is None, text
+    # an atom of the wrong arity is no guard either
+    assert _edge_guard("v", EdgeAtom(("a", "v")), scope, 3) is None
+    assert _edge_guard("v", parse("(N b v a)", 3), scope, 3) == ((1, 0), 1)
 
 
 def test_compiled_formula_runs_on_many_hosts():

@@ -427,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
         if budget:
             sp.add_argument("--budget", type=positive_int, default=None, help=budget)
         if jobs:
-            sp.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+            sp.add_argument("--jobs", type=positive_int, default=1,
+                            help="worker processes (default 1)")
         if infile:
             sp.add_argument("--in", dest="infile", required=True, help=infile)
         sp.set_defaults(handler=handler)
@@ -517,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated vertex counts")
     sp.add_argument("--alphas", required=True,
                     help="comma-separated rational exponents")
-    sp.add_argument("--trials", type=int, required=True,
+    sp.add_argument("--trials", type=positive_int, required=True,
                     help="trials per grid cell")
     sp.add_argument("--pattern",
                     help="hypergraph JSON file; property = contains a copy")
@@ -531,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pattern", action="append", required=True,
                     help="pattern JSON file (repeat for joint counts)")
     sp.add_argument("--n", type=int, required=True, help="vertex count")
-    sp.add_argument("--trials", type=int, required=True, help="sample count")
+    sp.add_argument("--trials", type=positive_int, required=True, help="sample count")
     sp.add_argument("--p", default=None,
                     help="edge probability; defaults to the pattern threshold")
 
@@ -548,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
              "distribution of root-structure copies with no strict extension",
              seed=True, budget=edges, jobs=True, infile="pair JSON file")
     sp.add_argument("--n", type=int, required=True, help="vertex count")
-    sp.add_argument("--trials", type=int, required=True, help="sample count")
+    sp.add_argument("--trials", type=positive_int, required=True, help="sample count")
     sp.add_argument("--p", default=None,
                     help="edge probability; defaults to the root threshold")
 

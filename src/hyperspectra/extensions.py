@@ -14,6 +14,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 
+import numpy as np
+
 from .errors import (DegeneratePair, FormatError, check_cap, DEFAULT_EXTENSION_CAP,
                      DEFAULT_PAIR_CAP)
 from .hypergraph import Edge, Hypergraph, _embedding_search, from_json_dict
@@ -119,42 +121,35 @@ def pair_density(pair: RootedPair) -> Fraction:
     return Fraction(pair.e_diff, pair.v_diff)
 
 
-def _intermediate_sets(pair: RootedPair, cap: int | None):
-    """Vertex sets W of induced intermediates, roots <= W <= V(G).
+def _intermediate_table(pair: RootedPair, cap: int | None):
+    """Size and inside-edge count of every intermediate vertex set, as one
+    array; returns it, its distinct (size, inside) pairs ascending, and e1.
 
-    Yields (W sorted tuple, edge count of G inside W).  The W = roots
-    entry is skipped when the induced root edges equal E(H) exactly
-    (that K would be H itself, excluded everywhere).  Edges are bitmasks
-    of their added vertices, so W holds an edge iff its mask covers it.
+    Entry m is W = roots plus each added vertex roots + j with bit j set
+    in m: entry 0 is the root set, the last V(G).  It holds |W - roots| *
+    e1 + (edges of G inside W), e1 = e(G) + 1.  An edge is the bitmask of
+    its added vertices, inside W iff m covers it.  Only counts live in
+    arrays; densities and f_alpha are Python integers, which cannot overflow.
     """
     check_cap(pair.v_diff, DEFAULT_PAIR_CAP, cap, "intermediate")
-    base = tuple(range(pair.roots))
-    added = pair.added_vertices
-    bits = tuple(1 << x for x in added)
-    masks = [sum(1 << x for x in e if x >= pair.roots) for e in pair.g.edges]
-    at_roots = masks.count(0)
-    masks = [m for m in masks if m]
-    for size in range(len(added) + 1):
-        for extra, picked in zip(combinations(added, size), combinations(bits, size)):
-            m = sum(picked)
-            inside = at_roots + sum([f & m == f for f in masks])
-            if size == 0 and inside == len(pair.h_edges):
-                continue
-            yield base + extra, inside
+    e1 = pair.g.e + 1
+    m = np.arange(1 << pair.v_diff, dtype=np.int64)
+    masks = [sum(1 << (x - pair.roots) for x in e if x >= pair.roots) for e in pair.g.edges]
+    table = np.full(1, masks.count(0), dtype=np.int64)
+    for _ in range(pair.v_diff):
+        table = np.concatenate((table, table + e1))
+    for f in masks:
+        if f:
+            table += (m & f) == f
+    return table, [divmod(x, e1) for x in np.flatnonzero(np.bincount(table)).tolist()], e1
 
 
 def pair_max_density(pair: RootedPair, cap: int | None = None) -> Fraction:
     """Max of rho(K, H) over intermediates H < K <= G with added vertices."""
     if pair.v_diff == 0:
         raise DegeneratePair("pair adds no vertices, rho^max(G, H) undefined")
-    e_h = len(pair.h_edges)
-    best = None  # (added edges, added vertices), compared by cross-multiplying
-    for w, inside in _intermediate_sets(pair, cap):
-        k = len(w) - pair.roots
-        if k and (best is None or (inside - e_h) * best[1] > best[0] * k):
-            best = (inside - e_h, k)
-    assert best is not None
-    return Fraction(*best)
+    most = dict(_intermediate_table(pair, cap)[1])  # size -> largest inside
+    return max(Fraction(inside - len(pair.h_edges), k) for k, inside in most.items() if k)
 
 
 def f_alpha(pair: RootedPair, alpha: Fraction) -> Fraction:
@@ -177,56 +172,55 @@ def classify_pair(pair: RootedPair, alpha: Fraction, cap: int | None = None) -> 
     Quantifiers run over induced intermediates only: for each vertex set
     the induced K extremizes both f_alpha(K, H) and f_alpha(G, K), so the
     sub-edge-set choices the definitions allow can never flip an answer.
-    Values are kept as integers d * f_alpha, alpha = c/d; only the
-    reported witness value becomes a Fraction.
+    Values are integers d * f_alpha, alpha = c/d, one per distinct (size,
+    inside) pair; only the reported witness value becomes a Fraction.
+    Among tied sets a verdict that minimizes reports the smallest W, one
+    that maximizes (rigid, none from f_alpha(G, K)) the largest.
     """
     alpha = Fraction(alpha)
     c, d = alpha.numerator, alpha.denominator
-    v_g, e_g = pair.g.n, pair.g.e
-    e_h = len(pair.h_edges)
-    full = tuple(range(v_g))
+    k, e_h = pair.v_diff, len(pair.h_edges)
+    base = tuple(range(pair.roots))
+    table, pairs, e1 = _intermediate_table(pair, cap)
+    f_kh = {z * e1 + i: d * z - c * (i - e_h) for z, i in pairs}
 
-    f_kh = {}   # W -> d * f_alpha(K_W, H), K ranging over H < K <= G
-    f_gk = {}   # W -> d * f_alpha(G, K_W), K ranging over H <= K < G
-    f_gk[tuple(range(pair.roots))] = d * pair.v_diff - c * pair.e_diff
-    for w, inside in _intermediate_sets(pair, cap):
-        f_kh[w] = d * (len(w) - pair.roots) - c * (inside - e_h)
-        if w != full:
-            f_gk[w] = d * (v_g - len(w)) - c * (e_g - inside)
+    def least(lo: int, hi: int, pick) -> tuple[int, tuple[int, ...]]:
+        """Least d * f_alpha(K_W, H) over lo <= |W - roots| < hi, and the W
+        that pick takes among the sets that reach it."""
+        part = {x: v for x, v in f_kh.items() if lo <= x // e1 < hi}
+        low = min(part.values())
+        ties = np.flatnonzero(np.isin(table, [x for x, v in part.items() if v == low]))
+        return low, pick(base + tuple(pair.roots + j for j in range(k) if m >> j & 1)
+                         for m in ties.tolist())
 
-    def verdict(kind: str, w: tuple[int, ...], value: int) -> PairClass:
-        return PairClass(kind, w, Fraction(value, d))
-
-    if f_kh and all(v > 0 for v in f_kh.values()):
-        worst = min(f_kh, key=lambda w: (f_kh[w], w))
-        return verdict("safe", worst, f_kh[worst])
-    if all(v < 0 for v in f_gk.values()):
-        worst = max(f_gk, key=lambda w: (f_gk[w], w))
-        return verdict("rigid", worst, f_gk[worst])
-    whole = f_kh.get(full)
-    propers = {w: v for w, v in f_kh.items() if w != full}
-    if whole == 0 and all(v > 0 for v in propers.values()):
-        return verdict("neutral", full, 0)
+    # f_alpha(K, H) runs over H < K <= G: W = roots only when it holds a
+    # non-H edge.  f_alpha(G, K) = f_alpha(G, H) - f_alpha(K, H) runs over
+    # H <= K < G: |W - roots| < k, or H alone when the pair adds no vertices.
+    lo = int(table[0] == e_h)
+    if lo <= k and (worst := least(lo, k + 1, min))[0] > 0:
+        return PairClass("safe", worst[1], Fraction(worst[0], d))
+    f_gh = d * k - c * pair.e_diff
+    low, low_w = least(0, k, max) if k else (0, base)
+    if f_gh - low < 0:
+        return PairClass("rigid", low_w, Fraction(f_gh - low, d))
+    whole = f_kh[int(table[-1])] if lo <= k else None
+    bad = least(lo, k, min) if lo < k else None
+    if whole == 0 and (bad is None or bad[0] > 0):
+        return PairClass("neutral", tuple(range(pair.g.n)), Fraction(0))
     # report the inequality that broke the best remaining candidate
     if whole is not None and whole > 0:
-        bad = min(propers, key=lambda w: (propers[w], w))
-        return verdict("none", bad, propers[bad])
-    bad = max(f_gk, key=lambda w: (f_gk[w], w))
-    return verdict("none", bad, f_gk[bad])
+        return PairClass("none", bad[1], Fraction(bad[0], d))
+    return PairClass("none", low_w, Fraction(f_gh - low, d))
 
 
 def is_strictly_balanced_pair(pair: RootedPair, cap: int | None = None) -> bool:
     """rho(K, H) < rho(G, H) for every proper intermediate K."""
     rho = pair_density(pair)
     e_h = len(pair.h_edges)
-    full_size = pair.g.n
-    for w, inside in _intermediate_sets(pair, cap):
-        if len(w) in (pair.roots, full_size):
-            continue
-        # rho(K, H) >= rho, cross-multiplied
-        if (inside - e_h) * rho.denominator >= rho.numerator * (len(w) - pair.roots):
-            return False
-    return True
+    # rho(K, H) < rho, cross-multiplied, for 0 < |K - roots| < v(G, H)
+    return all((inside - e_h) * rho.denominator < rho.numerator * k
+               for k, inside in _intermediate_table(pair, cap)[1]
+               if 0 < k < pair.v_diff)
 
 
 def strict_extensions(host: Hypergraph, root_tuple, pair: RootedPair,

@@ -7,14 +7,15 @@ textual form is an s-expression DSL:
     (exists x (forall y (or (N x y z) (= x y))))
 
 Formulas are immutable.  compile_formula turns one into nested closures
-once, and the result runs on any number of hosts; evaluate compiles and
-runs.  Evaluation is pure and budgeted in node visits.
+once, and the result runs on any number of hosts; evaluate caches it
+and runs.  Evaluation is pure and budgeted in node visits.
 """
 from __future__ import annotations
 
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from operator import itemgetter
@@ -272,10 +273,11 @@ def evaluate(g: Hypergraph, f: Formula, assignment: dict[str, int] | None = None
     """Tarskian truth of f in g under the assignment; short-circuits.
 
     The budget counts visited formula nodes (re-visits under quantifiers
-    included) and raises BudgetExceeded when exhausted.
+    included) and raises BudgetExceeded when exhausted.  Compiled checks
+    are cached by (f, s, free names), so one formula compiles once.
     """
     env = dict(assignment or {})
-    return compile_formula(f, g.s, tuple(env))(g, tuple(env.values()), budget)
+    return _compiled(f, g.s, tuple(env))(g, tuple(env.values()), budget)
 
 
 def _out_of_budget():
@@ -419,6 +421,9 @@ def compile_formula(f: Formula, s: int,
         return root(env)
 
     return check
+
+
+_compiled = lru_cache(maxsize=64)(compile_formula)
 
 
 def _edge_guard(var: str, body: Formula, scope: dict[str, int],

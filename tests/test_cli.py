@@ -112,8 +112,12 @@ class TestExitCodes:
                      ["unextendable", "--in", files.pair, "--n", "12", "--trials", "3"]):
             code, _, err = run(argv + ["--jobs", "2"], capsys)
             assert code == 0, err
-            code, out, err = run(argv + ["--jobs", "0"], capsys)
-            assert (code, out, err) == (1, "", "error: jobs must be at least 1\n"), argv
+            # no run fits fewer than one worker or trial: refused as usage
+            for flag in ("--jobs", "--trials"):
+                with pytest.raises(SystemExit) as info:
+                    main(argv + [flag, "0"])
+                assert info.value.code == 2, (argv, flag)
+                assert f"argument {flag}: must be at least 1, got 0" in capsys.readouterr().err
 
     def test_seed_and_budget_only_where_read(self, files, capsys):
         for argv in (["density", "--in", files.edge3],

@@ -9,7 +9,9 @@ from fractions import Fraction
 import pytest
 
 from hyperspectra.errors import CapExceeded, DegeneratePair, FormatError
+from hyperspectra.bounds import build_two_cycle_witness
 from hyperspectra.extensions import (
+    PairClass,
     RootedPair,
     classify_pair,
     count_maximal_extensions,
@@ -240,6 +242,76 @@ class TestPairOracles:
             assert balanced == oracles.brute_is_strictly_balanced_pair(pair)
             verdicts.add(balanced)
         assert verdicts == {True, False}
+
+    @staticmethod
+    def assert_matches_oracle(pair, alphas):
+        for alpha in alphas:
+            assert classify_pair(pair, alpha) == oracles.brute_classify_pair(pair, alpha), alpha
+        if pair.v_diff:
+            assert pair_max_density(pair) == oracles.brute_pair_max_density(pair)
+            assert is_strictly_balanced_pair(pair) == \
+                oracles.brute_is_strictly_balanced_pair(pair)
+
+    @pytest.mark.parametrize("name", ["loose_path_15", "loose_cycle_14", "graph_cycle_11",
+                                      "edgeless_12", "witness_15"])
+    def test_tie_heavy_pairs_match_oracle(self, name):
+        # 10 to 14 added vertices over one root: many sets share a value,
+        # so the witness tuple tests the tie-break
+        g, alphas = {
+            "loose_path_15": (Hypergraph(3, 15, [(i, i + 1, i + 2) for i in range(0, 13, 2)]),
+                              [Fraction(2)]),
+            "loose_cycle_14": (Hypergraph(3, 14, [(i, i + 1, (i + 2) % 14)
+                                                  for i in range(0, 14, 2)]),
+                               [Fraction(13, 7), Fraction(3)]),
+            "graph_cycle_11": (Hypergraph(2, 11, [(i, (i + 1) % 11) for i in range(11)]),
+                               [Fraction(1), Fraction(10, 11), Fraction(1, 2)]),
+            "edgeless_12": (Hypergraph(3, 12, []), [Fraction(1)]),
+            # gate 3's witness: safe, none and rigid
+            "witness_15": (build_two_cycle_witness(3, 2, 1, 1),
+                           [Fraction(3, 2), Fraction(7, 4), Fraction(15, 8)]),
+        }[name]
+        self.assert_matches_oracle(RootedPair(g, 1), alphas)
+
+    def test_huge_alpha_terms_do_not_overflow(self):
+        near_one = Fraction(10**40 + 1, 10**40)
+        alphas = [near_one, 1 / near_one]
+        self.assert_matches_oracle(VERTEX_EDGE, alphas)
+        assert [classify_pair(VERTEX_EDGE, a).kind for a in alphas] == ["rigid", "safe"]
+        rng = random.Random(41)
+        for _ in range(20):
+            g = oracles.random_hypergraph(rng, 3, rng.randint(4, 10), rng.random())
+            roots = rng.randint(0, 2)
+            self.assert_matches_oracle(
+                RootedPair(g, roots, [e for e in g.edges if e[-1] < roots]), alphas)
+
+    def test_no_added_vertices(self):
+        g = Hypergraph(3, 3, [(0, 1, 2)])
+        # the root edge is H's: no K above H, and f(G, H) = 0
+        closed = RootedPair(g, 3, [(0, 1, 2)])
+        assert classify_pair(closed, Fraction(1)) == PairClass("none", (0, 1, 2), Fraction(0))
+        # the root edge is not H's: K = G is the one set above H
+        loose = RootedPair(g, 3)
+        assert classify_pair(loose, Fraction(1)) == PairClass("rigid", (0, 1, 2), Fraction(-1))
+        assert classify_pair(loose, Fraction(0)) == PairClass("neutral", (0, 1, 2), Fraction(0))
+        assert classify_pair(loose, Fraction(-1)) == PairClass("safe", (0, 1, 2), Fraction(1))
+        for pair in (closed, loose):
+            self.assert_matches_oracle(pair, [Fraction(1), Fraction(0), Fraction(-1)])
+            with pytest.raises(DegeneratePair):
+                is_strictly_balanced_pair(pair)
+
+    def test_seventeen_added_vertices_at_cap_17(self):
+        # a loose path through 0..16 plus the bare vertex 17, rooted at 0:
+        # an edge inside W brings two added vertices of its own, so
+        # rho(K, H) <= 1/2 with equality at {0, 1, 2}, and z - i >= 1
+        # everywhere, first reached by W = (0, 1)
+        pair = RootedPair(Hypergraph(3, 18, [(i, i + 1, i + 2) for i in range(0, 15, 2)]), 1)
+        assert pair.v_diff == 17
+        assert pair_max_density(pair, cap=17) == Fraction(1, 2)
+        assert not is_strictly_balanced_pair(pair, cap=17)  # rho(G, H) = 8/17
+        assert classify_pair(pair, Fraction(1), cap=17) == \
+            PairClass("safe", (0, 1), Fraction(1))
+        with pytest.raises(CapExceeded, match="intermediate cap is 16$"):
+            classify_pair(pair, Fraction(1))
 
 
 class TestStrictExtensions:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperspectra import logic
 from hyperspectra.bounds import build_two_cycle_witness
 from hyperspectra.errors import BudgetExceeded, ParseError
 from hyperspectra.hypergraph import Hypergraph
@@ -247,6 +248,18 @@ def test_compiled_formula_runs_on_many_hosts():
         evaluate(EDGE3, f, {"x1": -1})
     with pytest.raises(TypeError, match="not a formula"):
         compile_formula(Or((Equal("x", "x"), "oops")), 3)
+
+
+def test_evaluate_compiles_each_formula_once():
+    logic._compiled.cache_clear()
+    for x in range(3):
+        # an equal formula built anew finds the same compiled check
+        f = build_C(1, 3)
+        assert evaluate(PATH2, f, {"x1": x}) == oracles.evaluate_naive(PATH2, f, {"x1": x})
+    assert logic._compiled.cache_info()[:2] == (2, 1)  # hits, misses
+    evaluate(PATH2, build_C(2, 3), {"x1": 0})
+    evaluate(Hypergraph(2, 3, []), build_C(1, 2), {"x1": 0})
+    assert logic._compiled.cache_info()[:2] == (2, 3)
 
 
 def test_quantifier_depth_examples():

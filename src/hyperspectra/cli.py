@@ -282,8 +282,8 @@ def cmd_sweep(args):
         if dec:
             decimals.append(part.strip())
     cfg = ExperimentConfig(args.s, tuple(int_list(args.n)), prop, args.trials,
-                           seed=args.seed, alpha=alphas[0],
-                           out_path=args.out, jobs=args.jobs, budget=args.budget)
+                           seed=args.seed, alpha=alphas[0], jobs=args.jobs,
+                           budget=args.budget)
     reports = sweep_alpha(cfg, alphas=alphas)
     cells = [{"n": r.n, "alpha": Fraction(r.alpha), "p": r.p,
               "trials": r.trials, "successes": r.successes,
@@ -292,9 +292,7 @@ def cmd_sweep(args):
     doc = {"schema": "hyperspectra.sweep.v1", "digest": cfg.digest(),
            "property": prop.describe(), "coupled": True,
            "cells": cells, "decimal_inputs": sorted(decimals)}
-    if args.format == "csv":
-        return doc, csv_text(cfg.digest(), reports)
-    return doc, None
+    return doc, csv_text(cfg.digest(), reports)
 
 
 def cmd_poisson(args):
@@ -507,8 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--j", type=int, default=None, help="index (theorem 10)")
     sp.add_argument("--m", type=int, default=None,
                     help="family exponent (theorem 11)")
-    sp.add_argument("--emit", dest="format", choices=["json", "csv", "text"],
-                    help="alias for --format")
 
     sp = sub("sweep", cmd_sweep,
              "containment probability estimates over an (n, alpha) grid",
@@ -564,14 +560,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         doc, artifact = args.handler(args)
-        # sweep's natural csv is the summary table, not key/value rows;
-        # its --out file is written by the harness itself
+        # sweep's natural csv is the summary table, not key/value rows
         if args.command == "sweep" and args.format == "csv":
             text = artifact
         else:
             text = render(doc, args.format)
         sys.stdout.write(text)
-        if args.out and args.command != "sweep":
+        if args.out:
             write_text(args.out, artifact if artifact is not None else text)
     except RUNTIME_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -261,13 +261,12 @@ def sweep_alpha(cfg: ExperimentConfig, alphas=None) -> list[EstimateReport]:
 
     Each trial draws once and thresholds that draw at every exponent, so
     containment indicators are non-increasing in alpha within a trial.
-    Each cell counts what `estimate_probability` counts at its alpha.
+    Each cell counts what `estimate_probability` counts at its alpha.  A
+    config that sets p is refused: its digest would name a p no cell used.
     """
-    if alphas is None:
-        if cfg.alpha is None:
-            raise ValueError("sweep needs an alpha grid or an alpha in the config")
-        alphas = [cfg.alpha]
-    alphas = [Fraction(a) for a in alphas]
+    if cfg.p is not None:
+        raise ValueError("sweep needs a config with alpha, not p")
+    alphas = [Fraction(a) for a in ([cfg.alpha] if alphas is None else alphas)]
     for a in alphas:
         if a <= 0:
             raise ValueError(f"grid exponent {a} must be positive")
@@ -329,20 +328,19 @@ def _fit(counts, lam: float) -> tuple[dict, float, float]:
     return hist, sum(counts) / len(counts), tv_distance_to_poisson(hist, lam)
 
 
-def _copy_counter(patterns, auts, cap):
-    """Per-host copy counts of every pattern, peeling the host once for all."""
+def _copy_counter(patterns, auts):
+    """Per-host copy counts of every pattern; patterns with the same minimal
+    profiles share the host's one peel (`Hypergraph.peel_memo`)."""
     def count(host):
-        peeled: dict = {}
         # count_embeddings is looked up on the module, where span tracers wrap it
-        embs = [hypergraph.count_embeddings(host, g, cap=cap, _peeled=peeled) for g in patterns]
+        embs = [hypergraph.count_embeddings(host, g) for g in patterns]
         assert all(e % a == 0 for e, a in zip(embs, auts)), "embeddings come in aut-orbits"
         return [e // a for e, a in zip(embs, auts)]
     return count
 
 
 def copy_count_distribution(patterns, n: int, trials: int, seed: int,
-                            p: Optional[float] = None,
-                            cap: Optional[int] = None, jobs: int = 1,
+                            p: Optional[float] = None, jobs: int = 1,
                             budget: Optional[int] = None) -> CopyCountReport:
     """Per-trial copy counts of one or more strictly balanced patterns.
 
@@ -371,8 +369,8 @@ def copy_count_distribution(patterns, n: int, trials: int, seed: int,
                 f"patterns must share one density: {density(g)} != {rho}")
     if p is None:
         p = p_from_alpha(n, 1 / rho)
-    auts = [automorphism_count(g, cap=cap) for g in patterns]
-    counts = list(zip(*_counts(partial(_copy_counter, patterns, auts, cap),
+    auts = [automorphism_count(g) for g in patterns]
+    counts = list(zip(*_counts(partial(_copy_counter, patterns, auts),
                                patterns[0].s, n, p, trials, seed, jobs, budget)))
     rates = [1.0 / aut for aut in auts]
     histograms, means, tvs = zip(*map(_fit, counts, rates))
@@ -414,13 +412,12 @@ class UnextendableReport:
     tv_distance: float
 
 
-def _unextendable_counter(pair: RootedPair, cap):
-    return lambda host: count_unextendable_copies(host, pair, cap=cap)
+def _unextendable_counter(pair: RootedPair):
+    return lambda host: count_unextendable_copies(host, pair)
 
 
 def unextendable_copy_count(pair: RootedPair, n: int, trials: int, seed: int,
-                            p: Optional[float] = None,
-                            cap: Optional[int] = None, jobs: int = 1,
+                            p: Optional[float] = None, jobs: int = 1,
                             budget: Optional[int] = None) -> UnextendableReport:
     """Distribution of unextendable root-structure copies in G^s(n, p).
 
@@ -435,7 +432,7 @@ def unextendable_copy_count(pair: RootedPair, n: int, trials: int, seed: int,
     """
     _check_sizes(trials, jobs)
     trivial = pair.v_diff == 0 and not pair.pattern_edges
-    rate = 0.0 if trivial else unextendable_poisson_rate(pair, cap=cap)
+    rate = 0.0 if trivial else unextendable_poisson_rate(pair)
     if p is None:
         h = pair.root_structure
         if h.e == 0:  # only the trivial pair gets here: the rate needs root edges
@@ -443,7 +440,7 @@ def unextendable_copy_count(pair: RootedPair, n: int, trials: int, seed: int,
         p = p_from_alpha(n, Fraction(h.v, h.e))
     if trivial:
         return UnextendableReport(n, p, trials, {0: trials}, 0.0, 0.0, 0.0)
-    counts = _counts(partial(_unextendable_counter, pair, cap),
+    counts = _counts(partial(_unextendable_counter, pair),
                      pair.g.s, n, p, trials, seed, jobs, budget)
     hist, mean, tv = _fit(counts, rate)
     return UnextendableReport(n, p, trials, hist, mean, rate, tv)

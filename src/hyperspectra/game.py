@@ -92,10 +92,6 @@ def _type_children(g: Hypergraph, intern: dict):
     Spoiler's rounds, and Duplicator answers it in kind, so repeats are
     left out."""
     memo: dict = {}
-    link: dict = {}  # sorted (s-1)-tuple -> the vertices completing it to an edge
-    for e in g.edges:
-        for i in range(g.s):
-            link.setdefault(e[:i] + e[i + 1:], []).append(e[i])
 
     def children(u: tuple, d: int) -> frozenset:
         if d == 0:
@@ -104,7 +100,7 @@ def _type_children(g: Hypergraph, intern: dict):
         if got is None:
             labels = [0] * g.n
             for bit, rest in enumerate(combinations(u, g.s - 1)):
-                for v in link.get(tuple(sorted(rest)), ()):
+                for v in g.link.get(frozenset(rest), ()):
                     labels[v] |= 1 << bit
             got = memo[u, d] = frozenset(
                 intern.setdefault((labels[v], children(u + (v,), d - 1)), len(intern))

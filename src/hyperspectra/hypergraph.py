@@ -76,6 +76,23 @@ class Hypergraph:
                 adj[x].update(e)
         return tuple(frozenset(a - {x}) for x, a in enumerate(adj))
 
+    @cached_property
+    def link(self) -> dict[frozenset[int], tuple[int, ...]]:
+        """link[R] = the vertices z with R + {z} an edge, for each (s-1)-set
+        R inside an edge.  They come out ascending without a sort: the
+        sorted edge list meets R + {z} in increasing z."""
+        links: dict[frozenset[int], list[int]] = {}
+        for e in self.edges:
+            for z in e:
+                links.setdefault(frozenset(e) - {z}, []).append(z)
+        return {r: tuple(zs) for r, zs in links.items()}
+
+    @cached_property
+    def peel_memo(self) -> dict[tuple, list[Edge]]:
+        """The edges `_peel` keeps for each minimal-profile set searched on
+        this host without forbidden vertices; filled by `_embedding_search`."""
+        return {}
+
     def degree(self, x: int) -> int:
         return len(self.incident[x])
 
@@ -411,7 +428,7 @@ def _incidence(edges) -> tuple[dict[int, int], dict[int, list[Edge]]]:
 
 
 def _embedding_search(host: Hypergraph, pattern: Hypergraph, mode: str, *,
-                      strict: bool = False, roots=(), forbidden=(), peeled=None):
+                      strict: bool = False, roots=(), forbidden=()):
     """The one backtracking search for injective edge-preserving maps
     pattern -> host.
 
@@ -426,10 +443,9 @@ def _embedding_search(host: Hypergraph, pattern: Hypergraph, mode: str, *,
     that is the induced condition.
 
     The host is first peeled (`_peel`); candidates come from what
-    survives, the strict rule reads every host edge.  `peeled`, a dict
-    the caller keeps for one host, shares the peeled edges between
-    searches whose patterns have the same minimal profiles; it only
-    serves searches without `forbidden`.
+    survives, the strict rule reads every host edge.  Without `forbidden`
+    the peeled edges are kept in `host.peel_memo`, so searches whose
+    patterns have the same minimal profiles peel the host once.
     """
     if pattern.s != host.s:
         raise ValueError("pattern and host must share the same uniformity")
@@ -487,12 +503,10 @@ def _embedding_search(host: Hypergraph, pattern: Hypergraph, mode: str, *,
 
     if not plan.steps:
         return result(finish(0))
-    if peeled is None:
-        edges = _peel(clear, plan.profiles)
-    elif plan.profiles in peeled:
-        edges = peeled[plan.profiles]
-    else:
-        edges = peeled[plan.profiles] = _peel(clear, plan.profiles)
+    memo = {} if forbidden else host.peel_memo
+    if plan.profiles not in memo:
+        memo[plan.profiles] = _peel(clear, plan.profiles)
+    edges = memo[plan.profiles]
     if len(edges) < pattern.e:
         return result(0)
     deg, inc = _incidence(edges)
@@ -551,14 +565,10 @@ def _embedding_search(host: Hypergraph, pattern: Hypergraph, mode: str, *,
 
 
 def count_embeddings(host: Hypergraph, pattern: Hypergraph, cap: int | None = None,
-                     induced: bool = False, *, _peeled: dict | None = None) -> int:
-    """Injective edge-preserving maps pattern -> host (induced ones if asked).
-
-    `_peeled` is a private per-host memo of peeled edges, shared between
-    the counts of several patterns on one host (see `_embedding_search`).
-    """
+                     induced: bool = False) -> int:
+    """Injective edge-preserving maps pattern -> host (induced ones if asked)."""
     check_cap(pattern.n, DEFAULT_ENUM_CAP, cap, "pattern")
-    return _embedding_search(host, pattern, "count", strict=induced, peeled=_peeled)
+    return _embedding_search(host, pattern, "count", strict=induced)
 
 
 def count_copies(host: Hypergraph, pattern: Hypergraph, cap: int | None = None,

@@ -292,10 +292,10 @@ def compile_formula(f: Formula, s: int,
     with the same short-circuits and the same node-visit budget as a walk
     of the tree.  Every closure takes one list: slot 0 holds the visits
     left, slot 1 the host's edges as frozensets, slot 2 its vertex range,
-    slot 3 its link table (None unless f has a guarded exists); each free
-    name and each quantifier gets a slot of its own after that, so a
-    re-bound name needs no save and restore.  Unbound names and edge
-    atoms of the wrong arity raise ValueError only when visited.
+    slot 3 its link table `g.link`; each free name and each quantifier
+    gets a slot of its own after that, so a re-bound name needs no save
+    and restore.  Unbound names and edge atoms of the wrong arity raise
+    ValueError only when visited.
 
     An exists whose body is an edge atom, or an and that starts with one,
     where the atom names the new variable once and its other terms are
@@ -306,10 +306,9 @@ def compile_formula(f: Formula, s: int,
     count stays exact.  Every other quantifier loops over all n vertices.
     """
     width = 4 + len(free)
-    guarded = False
 
     def build(node: Formula, scope: dict[str, int]):
-        nonlocal width, guarded
+        nonlocal width
         match node:
             case Equal(left, right):
                 if (loose := _first_unbound((left, right), scope)) is not None:
@@ -367,7 +366,7 @@ def compile_formula(f: Formula, s: int,
                 # a repeated slot leaves the key unchanged and makes
                 # itemgetter return a tuple when s = 2
                 key = itemgetter(*slots, slots[0])
-                k, width, guarded = width, width + 1, True
+                k, width = width, width + 1
                 inner = build(body, {**scope, var: k})
 
                 def run(env):
@@ -415,8 +414,7 @@ def compile_formula(f: Formula, s: int,
             if not 0 <= vertex < g.n:
                 raise ValueError(f"assignment sends {name} to {vertex}, outside 0..{g.n - 1}")
         env = [DEFAULT_EVAL_BUDGET if budget is None else budget,
-               {frozenset(e) for e in g.edges}, range(g.n),
-               _links(g) if guarded else None, *values]
+               {frozenset(e) for e in g.edges}, range(g.n), g.link, *values]
         env.extend([0] * (width - len(env)))
         return root(env)
 
@@ -446,17 +444,6 @@ def _edge_guard(var: str, body: Formula, scope: dict[str, int],
     if len(terms) != s or len(rest) != s - 1 or any(t not in scope for t in rest):
         return None
     return tuple(scope[t] for t in rest), miss
-
-
-def _links(g: Hypergraph) -> dict[frozenset, list[int]]:
-    """Each (s-1)-set inside an edge of g -> the vertices completing it, ascending."""
-    links: dict[frozenset, list[int]] = {}
-    for e in g.edges:
-        for z in e:
-            links.setdefault(frozenset(e) - {z}, []).append(z)
-    for completions in links.values():
-        completions.sort()
-    return links
 
 
 def _first_unbound(names, scope: dict[str, int]) -> str | None:
@@ -609,23 +596,20 @@ def has_full_extension_property(g: Hypergraph, level: int) -> bool:
     For each r in {s-1, ..., level}, each r-set of distinct vertices, and
     each subset A of the (s-1)-subsets of the tuple, some outside vertex z
     must form an edge with exactly the (s-1)-subsets in A.  Checked
-    directly with neighbor bitmasks, no FO evaluation.
+    directly with bitmasks of the completions in `g.link`, no FO
+    evaluation.
     """
     s = g.s
     if level < s - 1:
         raise ValueError(f"level must be at least s - 1 = {s - 1}, got {level}")
-    completions: dict[tuple[int, ...], int] = {}
-    for e in g.edges:
-        for z in e:
-            rest = tuple(x for x in e if x != z)
-            completions[rest] = completions.setdefault(rest, 0) | (1 << z)
     everyone = (1 << g.n) - 1
     for r in range(s - 1, level + 1):
         if g.n < r:
             continue
         patterns = 1 << comb(r, s - 1)
         for tup in combinations(range(g.n), r):
-            masks = [completions.get(sub, 0) for sub in combinations(tup, s - 1)]
+            masks = [sum(1 << z for z in g.link.get(frozenset(sub), ()))
+                     for sub in combinations(tup, s - 1)]
             outside = everyone & ~sum(1 << z for z in tup)
             for a_bits in range(patterns):
                 ok = outside

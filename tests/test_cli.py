@@ -53,6 +53,30 @@ SUBCOMMANDS = next(action.choices for action in build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction))
 
 
+def invocations(files) -> dict[str, list[str]]:
+    """One small successful run of every subcommand."""
+    return {
+        "sample": ["sample", "--s", "3", "--n", "12", "--alpha", "2"],
+        "density": ["density", "--in", files.path5],
+        "balance": ["balance", "--in", files.path5],
+        "classify-pair": ["classify-pair", "--in", files.pair, "--alpha", "1/2"],
+        "extend": ["extend", "--in", files.pair, "--host", files.host2,
+                   "--roots", "0,1,2"],
+        "decompose": ["decompose", "--in", files.cycle, "--m", "3"],
+        "game": ["game", "--g1", files.edge3, "--g2", files.edge3, "--k", "2"],
+        "eval": ["eval", "--in", files.edge3, "--formula",
+                 "(exists x (exists y (exists z (N x y z))))"],
+        "bounds": ["bounds", "--theorem", "8", "--s", "3", "--k", "5"],
+        "sweep": ["sweep", "--s", "3", "--n", "10,12", "--alphas", "2,3",
+                  "--trials", "4", "--builtin", "contains-edge"],
+        "poisson": ["poisson", "--pattern", files.triangle, "--n", "30",
+                    "--trials", "15"],
+        "count-copies": ["count-copies", "--in", files.path5, "--pattern", files.edge3],
+        "unextendable": ["unextendable", "--in", files.pair, "--n", "25", "--trials", "8"],
+        "schema-dump": ["schema-dump"],
+    }
+
+
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -230,27 +254,7 @@ class TestRendering:
         assert code == 0 and "rho: 1/3" in out
 
     def test_every_document_carries_schema(self, files, capsys):
-        invocations = [
-            ["sample", "--s", "3", "--n", "12", "--alpha", "2"],
-            ["density", "--in", files.path5],
-            ["balance", "--in", files.path5],
-            ["classify-pair", "--in", files.pair, "--alpha", "1/2"],
-            ["extend", "--in", files.pair, "--host", files.host2,
-             "--roots", "0,1,2"],
-            ["decompose", "--in", files.cycle, "--m", "3"],
-            ["game", "--g1", files.edge3, "--g2", files.edge3, "--k", "2"],
-            ["eval", "--in", files.edge3, "--formula",
-             "(exists x (exists y (exists z (N x y z))))"],
-            ["bounds", "--theorem", "8", "--s", "3", "--k", "5"],
-            ["sweep", "--s", "3", "--n", "10,12", "--alphas", "2,3",
-             "--trials", "4", "--builtin", "contains-edge"],
-            ["poisson", "--pattern", files.triangle, "--n", "30",
-             "--trials", "15"],
-            ["count-copies", "--in", files.path5, "--pattern", files.edge3],
-            ["unextendable", "--in", files.pair, "--n", "25", "--trials", "8"],
-            ["schema-dump"],
-        ]
-        for argv in invocations:
+        for argv in invocations(files).values():
             doc = run_json(argv, capsys)
             assert doc["schema"].startswith("hyperspectra."), argv
 
@@ -277,9 +281,14 @@ class TestSubcommands:
         assert doc["alpha"] == "3/4"
 
     def test_bounds_emit_alias(self, files, capsys):
-        code, out, _ = run(["bounds", "--theorem", "6", "--s", "3", "--k", "4",
-                            "--emit", "text"], capsys)
+        # --format is the one output flag; --emit is a usage error
+        argv = ["bounds", "--theorem", "6", "--s", "3", "--k", "4"]
+        code, out, _ = run(argv + ["--format", "text"], capsys)
         assert code == 0 and "threshold: 2/1" in out
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--emit", "text"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --emit" in capsys.readouterr().err
 
     def test_bounds_budget_override(self, files, capsys):
         doc = run_json(["bounds", "--theorem", "7", "--s", "3", "--k", "7",
@@ -405,7 +414,13 @@ class TestSubcommands:
         assert lines[1] == ("n,alpha,p,trials,successes,estimate,"
                             "ci_lo,ci_hi,budget_exceeded")
         assert len(lines) == 2 + 4
-        assert out.read_text().splitlines()[1] == lines[1]
+        assert out.read_bytes().decode() == text
+        # --out holds the CSV table whatever --format prints
+        json_out = tmp_path / "sweep-json.csv"
+        code, _, _ = run(["sweep", "--s", "3", "--n", "10,12",
+                          "--alphas", "2,5/2", "--trials", "4",
+                          "--builtin", "contains-edge", "--out", str(json_out)], capsys)
+        assert code == 0 and json_out.read_bytes() == out.read_bytes()
 
     def test_sweep_rejects_open_formula(self, files, capsys, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -422,13 +437,18 @@ class TestSubcommands:
         assert doc["csv_summary"]["fields"][0] == "n"
         assert "sample" in doc["documents"]
 
-    def test_sweep_document_matches_schema(self, files, capsys):
-        keys = run_json(["schema-dump"], capsys)["documents"]["sweep"]
-        doc = run_json(["sweep", "--s", "3", "--n", "10", "--alphas", "2,3",
-                        "--trials", "4", "--builtin", "contains-edge"], capsys)
-        assert sorted(doc) == sorted(keys)
-        # every sweep thresholds one draw per trial at all of its exponents
-        assert doc["coupled"] is True
+    @pytest.mark.parametrize("command", sorted(set(SUBCOMMANDS) - {"schema-dump"}))
+    def test_document_matches_schema(self, files, capsys, command):
+        keys = run_json(["schema-dump"], capsys)["documents"][command]
+        doc = run_json(invocations(files)[command], capsys)
+        if command == "bounds":
+            # its computed values differ per theorem, one key each
+            assert set(keys) - {"<one key per computed value>"} <= set(doc)
+        else:
+            assert sorted(doc) == sorted(keys)
+        if command == "sweep":
+            # every sweep thresholds one draw per trial at all of its exponents
+            assert doc["coupled"] is True
 
 
 class TestDeterminism:

@@ -252,6 +252,15 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_alpha(cfg, [Fraction(2), Fraction(0)])
 
+    def test_rejects_config_with_p(self, tmp_path):
+        # the grid sets every p, so a digest naming the config's p would lie
+        out = tmp_path / "sweep.csv"
+        cfg = pattern_cfg(LOOSE_PATH, 20, 5, 0, p=0.05, out_path=str(out))
+        for grid in (None, [Fraction(2), Fraction(3)]):
+            with pytest.raises(ValueError, match="alpha, not p"):
+                sweep_alpha(cfg, grid)
+        assert not out.exists()
+
     def test_csv_row_count(self, tmp_path):
         out = tmp_path / "sweep.csv"
         cfg = ExperimentConfig(3, (20, 25),

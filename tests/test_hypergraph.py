@@ -1,5 +1,6 @@
 """Core type: densities, balance, copies, automorphisms, distances."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -22,7 +23,7 @@ from hyperspectra.hypergraph import (
     is_strictly_balanced,
     max_density,
 )
-from hyperspectra.hypergraph import _peel, _search_plan
+from hyperspectra.hypergraph import _embedding_search, _peel, _search_plan
 
 import oracles
 
@@ -61,6 +62,19 @@ class TestConstruction:
     def test_edges_canonicalized(self):
         g = Hypergraph(3, 5, [(4, 3, 2), (0, 2, 1)])
         assert g.edges == ((0, 1, 2), (2, 3, 4))
+
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_link_matches_bruteforce(self, s):
+        # every (s-1)-set -> its completions, ascending, over all subsets
+        rng = random.Random(70 + s)
+        for _ in range(6):
+            g = oracles.random_hypergraph(rng, s, 8, rng.uniform(0.1, 0.5))
+            want = {}
+            for rest in itertools.combinations(range(g.n), s - 1):
+                completions = tuple(z for z in range(g.n) if g.has_edge(rest + (z,)))
+                if completions:
+                    want[frozenset(rest)] = completions
+            assert g.link == want
 
 
 class TestDensity:
@@ -262,15 +276,33 @@ class TestSparseHosts:
         # one memo per host serves patterns with different minimal profiles
         rng = random.Random(60 + s)
         profile_sets = {_search_plan(pat).profiles for pat in self.PATTERNS[s]}
+        assert len(profile_sets) > 1
         for _ in range(6):
-            host = oracles.random_hypergraph(rng, s, 10, rng.uniform(0.05, 0.3))
-            memo = {}
-            for pat in self.PATTERNS[s]:
-                want = count_embeddings(host, pat)
-                assert count_embeddings(host, pat, _peeled=memo) == want
-                assert count_embeddings(host, pat, _peeled=memo, induced=True) == (
-                    count_embeddings(host, pat, induced=True))
-            assert set(memo) == profile_sets
+            edges = oracles.random_hypergraph(rng, s, 10, rng.uniform(0.05, 0.3)).edges
+            # both orders: a stricter pattern's peel must never serve a looser one
+            for order in (self.PATTERNS[s], self.PATTERNS[s][::-1]):
+                host = Hypergraph(s, 10, edges)
+                for pat in order:
+                    for induced in (False, True):
+                        assert count_embeddings(host, pat, induced=induced) == (
+                            count_embeddings(Hypergraph(s, 10, edges), pat, induced=induced))
+                assert set(host.peel_memo) == profile_sets
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_forbidden_search_leaves_memo_alone(self, s):
+        # a search that avoids a vertex peels without it, for itself only
+        rng = random.Random(80 + s)
+        fewer = 0
+        for i in range(8):
+            pat = self.PATTERNS[s][i % 4]
+            host = planted_host(rng, pat, 10, 0.15)
+            hub = max(range(host.n), key=host.degree)
+            avoiding = _embedding_search(host, pat, "count", forbidden={hub})
+            assert not host.peel_memo
+            want = count_embeddings(Hypergraph(s, host.n, host.edges), pat)
+            assert count_embeddings(host, pat) == want
+            fewer += avoiding < want
+        assert fewer >= 2
 
     @pytest.mark.parametrize("s", [2, 3])
     def test_isomorphism_matches_bruteforce(self, s):

@@ -227,35 +227,34 @@ def random_family_member(s: int, m: int, rng: random.Random,
                          max_vertices: int = 20, attempts: int = 40) -> Hypergraph:
     """Grow a random member by repeatedly applying admissible steps.
 
-    Uses a scratch vertex pool; the result is relabeled to be compact.
-    Always applies at least one step, so the result has edges.
+    Each step takes the lowest fresh ids, so the member grown so far always
+    lives on 0..k-1 and needs no relabeling.  Always applies at least one
+    step, so the result has edges.
     """
     bound = density_bound(s, m)
-    pool = max_vertices + m * s  # scratch ids; trimmed at the end
-    vs: set[int] = {0}
+    pool = max_vertices + m * s  # fresh ids a step may draw from
+    k = 1
     es: set[Edge] = set()
-    grown = False
+    member = None
     for _ in range(attempts):
-        if len(vs) >= max_vertices:
+        if k >= max_vertices:
             break
-        fresh = [x for x in range(pool) if x not in vs]
-        case = rng.choice((1, 2, 3)) if grown else 1
-        move = _propose(s, m, sorted(vs), fresh, case, rng)
+        case = rng.choice((1, 2, 3)) if member is not None else 1
+        move = _propose(s, m, list(range(k)), list(range(k, pool)), case, rng)
         if move is None:
             continue
-        cand_vs = vs | set(move.new_vertices)
+        cand_k = k + len(move.new_vertices)
         cand_es = es | set(move.new_edges)
-        if len(cand_vs) > max_vertices:
+        if cand_k > max_vertices:
             continue
-        if len(cand_es) * bound.denominator >= bound.numerator * len(cand_vs):
+        if len(cand_es) * bound.denominator >= bound.numerator * cand_k:
             continue  # the whole already reaches the bound
-        cand = _as_abstract(s, frozenset(cand_vs), frozenset(cand_es))
+        cand = Hypergraph(s, cand_k, cand_es)
         if max_density_below(cand, bound):
-            vs, es = cand_vs, cand_es
-            grown = True
-    if not grown:
+            k, es, member = cand_k, cand_es, cand
+    if member is None:
         raise NoWitness(f"no admissible growth step found in {attempts} attempts")
-    return _as_abstract(s, frozenset(vs), frozenset(es))
+    return member
 
 
 def _propose(s: int, m: int, anchors: list[int], fresh: list[int],

@@ -4,10 +4,11 @@ Each potential edge gets one 64-bit word from a counter-based Philox
 stream keyed by (seed, trial_index); word r belongs to the edge of colex
 rank r.  The edge is kept iff w < ceil(p * 2^53) * 2^11, exactly when
 numpy's float64 uniform (w >> 11) * 2^-53 is below p.  Words are compared
-in fixed blocks and only the kept ranks are unranked into vertex sets, so
-no edge table is built; only the unranking's binomial columns, s + 1
-arrays of n entries, are kept per (n, s).  Thresholding the same words at
-several probabilities yields nested (monotone-coupled) samples for free.
+in fixed blocks, one block alive at a time, and only the kept ranks are
+unranked into vertex sets, so no edge table is built; only the unranking's
+binomial columns, s + 1 arrays of n entries, are kept per (n, s).
+Thresholding the same words at several probabilities yields nested
+(monotone-coupled) samples for free.
 """
 from __future__ import annotations
 
@@ -136,6 +137,10 @@ def sample_coupled(params: ModelParams, ps, budget: int | None = None) -> list[H
         keep = np.flatnonzero(_below(block, top))
         ranks.append(keep + start)
         words.append(block[keep])
+        # free the block before reading the next: with two alive, the heap
+        # grows by about 1 MB that is handed back after the draw and
+        # page-faulted in again on the next one
+        del block
     edges = _unrank(np.concatenate(ranks), params.n, params.s)
     words = np.concatenate(words)
     # the draw at the top probability keeps every word kept so far

@@ -223,3 +223,22 @@ class TestFamilySampling:
                 rows.append([s, m, g.n, [list(e) for e in g.edges]])
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert digest == "f88f421769fc3fdb08261a27a4d2879d59ac02c9641268e40b00127ed1a696b4"
+
+    @pytest.mark.parametrize("s,m,seed,max_vertices,want", [
+        (3, 2, 7, 14, "b31a2bbddcc38d0da8dfc407f83dc6b0a63c217f71e718ad397b83a6d8267467"),
+        (3, 3, 8, 17, "e1903214be10ec7a1d42cb11fea2acfa7a08630c39e27dd72a147fe8d8996d15"),
+        (3, 4, 9, 20, "34af020acbfc2a3b3fc9d45c86d506790d8467e48f0e75c06744abd41763b8f1"),
+        (4, 2, 10, 15, "18becbe43d1b967b8785156592886b623d32f17d0612742642c92b25297c0f4f"),
+        (4, 3, 11, 20, "c6bde81c85f724d92edfd7395e5c65ad66fb69c75aac999aaa14cef31ba66f25"),
+        (5, 2, 12, 18, "821a0c5764471c869d30f8b8b88b33dd7629974e99885ad4be49bb171ae790b9"),
+    ])
+    def test_member_edges_exact(self, s, m, seed, max_vertices, want):
+        """Eight members in a row from one seeded rng, vertex counts and
+        edge lists digested.  The digests were recorded while each
+        candidate was still relabeled through its sorted vertex set."""
+        rng = random.Random(seed)
+        rows = []
+        for _ in range(8):
+            g = random_family_member(s, m, rng, max_vertices=max_vertices)
+            rows.append([g.n, [list(e) for e in g.edges]])
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == want

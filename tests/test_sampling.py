@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import platform
 import random
 import tracemalloc
 from dataclasses import replace
@@ -269,3 +270,25 @@ def test_draw_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, peak
+
+
+@pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the minor-fault count read here is that of glibc's heap on Linux")
+def test_draws_do_not_page_fault():
+    # a draw at n=120 reads 280,840 words in five blocks; with two blocks
+    # alive at once each draw took 224 minor faults, none once each block
+    # is freed before the next is read (resource exists only on Unix)
+    import resource
+
+    def faults():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    params = ModelParams(3, 120, alpha=Fraction(15, 8), seed=0)
+    ps = [params.effective_p / 4, params.effective_p / 2, params.effective_p]
+    sample(params)
+    before = faults()
+    for t in range(50):
+        sample(replace(params, trial_index=t))
+    for t in range(20):
+        sample_coupled(replace(params, trial_index=t), ps)
+    assert (faults() - before) / 70 <= 8

@@ -466,20 +466,14 @@ def _embedding_search(host: Hypergraph, pattern: Hypergraph, mode: str, *,
     # host edges through a forbidden vertex can hold no image edge
     clear = [f for f in host.edges if forbidden.isdisjoint(f)] if forbidden else host.edges
     used = forbidden.union(roots)  # never landed on: images and forbidden
-    if strict:
-        # the clear host edges through each vertex; with nothing forbidden
-        # they are all of the host's, already kept on it
-        if forbidden:
-            inc = _incidence(clear)[1]
-            full = [inc.get(w, ()) for w in range(host.n)]
-        else:
-            full = host.incident
 
     def closed(w: int, expect: int) -> bool:
         """Strict rule at w.  The forward checks found `expect` distinct
-        image edges through w; no other host edge through w may lie
-        inside the image, so the counts must agree."""
-        return sum(1 for f in full[w] if used.issuperset(f)) == expect
+        image edges through w; no other clear host edge through w may lie
+        inside the image, so the counts must agree.  `used` also holds the
+        forbidden vertices, and an edge through one of them is not clear."""
+        return sum(1 for f in host.incident[w]
+                   if used.issuperset(f) and forbidden.isdisjoint(f)) == expect
 
     loose = plan.loose
     one_by_one = strict or out is not None

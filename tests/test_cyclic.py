@@ -226,16 +226,14 @@ class TestFamilySampling:
 
     @pytest.mark.parametrize("s,m,seed,max_vertices,want", [
         (3, 2, 7, 14, "b31a2bbddcc38d0da8dfc407f83dc6b0a63c217f71e718ad397b83a6d8267467"),
-        (3, 3, 8, 17, "e1903214be10ec7a1d42cb11fea2acfa7a08630c39e27dd72a147fe8d8996d15"),
-        (3, 4, 9, 20, "34af020acbfc2a3b3fc9d45c86d506790d8467e48f0e75c06744abd41763b8f1"),
-        (4, 2, 10, 15, "18becbe43d1b967b8785156592886b623d32f17d0612742642c92b25297c0f4f"),
         (4, 3, 11, 20, "c6bde81c85f724d92edfd7395e5c65ad66fb69c75aac999aaa14cef31ba66f25"),
         (5, 2, 12, 18, "821a0c5764471c869d30f8b8b88b33dd7629974e99885ad4be49bb171ae790b9"),
     ])
-    def test_member_edges_exact(self, s, m, seed, max_vertices, want):
-        """Eight members in a row from one seeded rng, vertex counts and
-        edge lists digested.  The digests were recorded while each
-        candidate was still relabeled through its sorted vertex set."""
+    def test_member_fingerprint_other_sizes(self, s, m, seed, max_vertices, want):
+        """What `test_member_fingerprint` leaves out: vertex caps other
+        than 16, at both ends of 14..20, and s = 5.  Eight members from
+        one seeded rng, digested; recorded while each candidate was still
+        relabeled through its sorted vertex set."""
         rng = random.Random(seed)
         rows = []
         for _ in range(8):

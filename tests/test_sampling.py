@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import platform
 import random
 import tracemalloc
@@ -272,8 +273,17 @@ def test_draw_memory_bounded():
     assert peak < 4 * 2**20, peak
 
 
-@pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
-                    reason="the minor-fault count read here is that of glibc's heap on Linux")
+def _default_glibc_heap() -> bool:
+    """Linux with glibc's malloc at its default thresholds: no preloaded
+    allocator and no MALLOC_* or GLIBC_TUNABLES setting."""
+    return (platform.system() == "Linux" and platform.libc_ver()[0] == "glibc"
+            and "LD_PRELOAD" not in os.environ and "GLIBC_TUNABLES" not in os.environ
+            and not any(k.startswith("MALLOC_") for k in os.environ))
+
+
+@pytest.mark.skipif(not _default_glibc_heap(),
+                    reason="the minor-fault count read here is that of glibc's "
+                           "default heap on Linux")
 def test_draws_do_not_page_fault():
     # a draw at n=120 reads 280,840 words in five blocks; with two blocks
     # alive at once each draw took 224 minor faults, none once each block

@@ -290,14 +290,20 @@ def automorphism_count(g: Hypergraph, cap: int | None = None) -> int:
 
     Isolated vertices permute freely.  The core's automorphisms are its
     embeddings into itself: an injective edge-preserving self-map of a
-    finite hypergraph is onto its vertices and its edges.
+    finite hypergraph is onto its vertices and its edges.  The group that
+    `_symmetry` enumerates for the matcher gives the count; a group past
+    `_GROUP_BOUND` is counted by the search.
     """
     check_cap(g.n, DEFAULT_ENUM_CAP, cap, "automorphism search")
     core_verts = [x for x in range(g.n) if g.degree(x) > 0]
     if not core_verts:
         return factorial(g.n)
+    free = factorial(g.n - len(core_verts))
+    sym = _symmetry(g, 0)
+    if sym:
+        return free * sym.order
     core = _sparser(g.induced(core_verts))
-    return factorial(g.n - len(core_verts)) * _embedding_search(core, core, "count")
+    return free * _embedding_search(core, core, "count")
 
 
 class _SearchPlan(NamedTuple):
@@ -358,6 +364,53 @@ def _search_plan(pattern: Hypergraph, roots: int = 0) -> _SearchPlan:
                            if not any(q != p and all(map(ge, p, q)) for q in profiles)))
     return _SearchPlan(deg, tuple(x for x in range(pattern.n) if x not in placed),
                        minimal, tuple(steps))
+
+
+# The largest automorphism group `_symmetry` enumerates; a pattern with a
+# larger one is searched without conditions.
+_GROUP_BOUND = 5040
+
+
+class _Symmetry(NamedTuple):
+    """Symmetry-breaking conditions of one search plan; see `_symmetry`."""
+
+    order: int  # automorphisms of the non-loose part that fix every root
+    over: tuple[int | None, ...]  # over[u]: the vertex whose image u's must exceed
+
+
+@lru_cache(maxsize=256)
+def _symmetry(pattern: Hypergraph, roots: int) -> _Symmetry | None:
+    """Conditions under which the search meets one embedding per class of
+    the automorphisms G of the pattern's non-loose part that fix vertices
+    0..roots-1 (Grochow & Kellis 2007); None when |G| > _GROUP_BOUND.
+
+    Walking the plan's placement order, each vertex v must land below
+    every other vertex u of its orbit under the current G (u is placed
+    later), and G shrinks to the stabilizer of v.  Each G-class of
+    embeddings has one map meeting every condition, and G acts freely, so
+    the embeddings number the conditioned ones times |G|.  Only the last
+    such v is kept for u: an earlier one has v in its orbit too, so lands
+    below v.
+    """
+    plan = _search_plan(pattern, roots)
+    over: list[int | None] = [None] * pattern.n
+    if not plan.steps:
+        return _Symmetry(1, tuple(over))
+    part = [x for x in range(pattern.n) if x not in plan.loose]
+    core = pattern.induced(part)
+    if not roots:
+        core = _sparser(core)
+    maps = _embedding_search(core, core, "collect", roots=tuple(range(roots)),
+                             limit=_GROUP_BOUND + 1)
+    if len(maps) > _GROUP_BOUND:
+        return None
+    group = [{part[i]: part[y] for i, y in enumerate(m)} for m in maps]
+    for step in plan.steps:
+        for v in step[1]:
+            for u in {sigma[v] for sigma in group} - {v}:
+                over[u] = v
+            group = [sigma for sigma in group if sigma[v] == v]
+    return _Symmetry(len(maps), tuple(over))
 
 
 def _hops(pattern: Hypergraph, skip: Edge, start, goal) -> int:
@@ -428,16 +481,21 @@ def _incidence(edges) -> tuple[dict[int, int], dict[int, list[Edge]]]:
 
 
 def _embedding_search(host: Hypergraph, pattern: Hypergraph, mode: str, *,
-                      strict: bool = False, roots=(), forbidden=()):
+                      strict: bool = False, roots=(), forbidden=(), limit: int = 0):
     """The one backtracking search for injective edge-preserving maps
     pattern -> host.
 
     `mode` "exists" stops at the first map and returns 0 or 1, "count"
     returns how many maps there are, and "collect" returns them as image
-    tuples indexed by pattern vertex.  Pattern vertex i < len(roots) is
-    pre-mapped to roots[i]; the other images avoid the roots and
-    `forbidden`.  Pattern edges inside the roots are not checked, and the
-    caller must leave none there: their degrees would misguide peeling.
+    tuples indexed by pattern vertex; a nonzero `limit` stops collecting
+    once that many maps are found.  "exists" and "count" visit one map per
+    class of the automorphisms that `_symmetry` breaks, and "count"
+    multiplies by their number; "collect" visits every map.
+
+    Pattern vertex i < len(roots) is pre-mapped to roots[i]; the other
+    images avoid the roots and `forbidden`.  Pattern edges inside the
+    roots are not checked, and the caller must leave none there: their
+    degrees would misguide peeling.
     With `strict`, every host edge through a newly landed image that lies
     inside the image must be the image of a pattern edge; with no roots
     that is the induced condition.
@@ -450,13 +508,15 @@ def _embedding_search(host: Hypergraph, pattern: Hypergraph, mode: str, *,
     if pattern.s != host.s:
         raise ValueError("pattern and host must share the same uniformity")
     plan = _search_plan(pattern, len(roots))
-    stop = mode == "exists"
+    stop = 1 if mode == "exists" else limit
     out = [] if mode == "collect" else None
+    sym = None if out is not None else _symmetry(pattern, len(roots))
+    order, over = sym if sym else (1, (None,) * pattern.n)
 
     def result(total: int):
         if out is not None:
             return out
-        return min(total, 1) if stop else total
+        return min(total, 1) if mode == "exists" else total * order
 
     if host.n < pattern.n:
         return result(0)
@@ -485,9 +545,11 @@ def _embedding_search(host: Hypergraph, pattern: Hypergraph, mode: str, *,
         if not one_by_one:
             return perm(host.n - len(used), len(loose))
         if k == len(loose):
-            if out is not None:
-                out.append(tuple(image))
-            return 1
+            if out is None:
+                return 1
+            out.append(tuple(image))
+            # a full collection stops every loop above, as one map stops "exists"
+            return stop if len(out) == stop else 1
         total = 0
         for w in range(host.n):
             if w in used:
@@ -497,7 +559,7 @@ def _embedding_search(host: Hypergraph, pattern: Hypergraph, mode: str, *,
                 image[loose[k]] = w
                 total += finish(k + 1)
             used.discard(w)
-            if total and stop:
+            if stop and total >= stop:
                 break
         return total
 
@@ -535,7 +597,7 @@ def _embedding_search(host: Hypergraph, pattern: Hypergraph, mode: str, *,
         total = 0
         for f in candidates:
             total += assign(i, 0, [w for w in f if w not in imgs])
-            if total and stop:
+            if stop and total >= stop:
                 return total
         return total
 
@@ -544,9 +606,11 @@ def _embedding_search(host: Hypergraph, pattern: Hypergraph, mode: str, *,
         if j == len(new):
             return place(i + 1)
         x, checks = new[j], steps[i][2][j]
+        # symmetry breaking: x lands above the image of over[x]
+        floor = -1 if over[x] is None else image[over[x]]
         total = 0
         for w in slots:
-            if w in used or deg[w] < pat_deg[x]:
+            if w in used or deg[w] < pat_deg[x] or w < floor:
                 continue
             image[x] = w
             # pattern edges through x whose vertices have all landed
@@ -557,7 +621,7 @@ def _embedding_search(host: Hypergraph, pattern: Hypergraph, mode: str, *,
             if not strict or closed(w, len(checks) + (j + 1 == len(new))):
                 total += assign(i, j + 1, [u for u in slots if u != w])
             used.discard(w)
-            if total and stop:
+            if stop and total >= stop:
                 return total
         return total
 
@@ -586,9 +650,8 @@ def count_copies(host: Hypergraph, pattern: Hypergraph, cap: int | None = None,
 
 def contains_copy(host: Hypergraph, pattern: Hypergraph) -> bool:
     """Early-exit containment check (the search peels and prefilters)."""
-    if pattern.e == 0:
-        return host.n >= pattern.n
-    if pattern.e > host.e or pattern.n > host.n:
+    # the search refuses a pattern of another uniformity
+    if pattern.s == host.s and (pattern.e > host.e or pattern.n > host.n):
         return False
     return _embedding_search(host, pattern, "exists") > 0
 

@@ -362,6 +362,8 @@ class TestSubcommands:
         host.write_text(graph.to_json())
         runs = []
         embed = hypergraph._embedding_search
+        # a cold command: the pattern's group is not cached yet
+        hypergraph._symmetry.cache_clear()
 
         def counted_embed(searched_host, pattern, *args, **kw):
             runs.append((searched_host, pattern))
@@ -370,7 +372,8 @@ class TestSubcommands:
         monkeypatch.setattr(hypergraph, "_embedding_search", counted_embed)
         argv = ["count-copies", "--in", str(host), "--pattern", files.path5]
         doc = run_json(argv + ["--induced"] if induced else argv, capsys)
-        # one search into the host, one core -> core for the automorphisms
+        # one search into the host, one core -> core for the automorphisms,
+        # which the host search needs first and automorphism_count reuses
         path = Hypergraph(3, 5, [(0, 1, 2), (2, 3, 4)])
         assert runs == [(graph, path), (path, path)]
         # 5 loose 2-paths, 2 of them with a third host edge inside

@@ -1,9 +1,11 @@
 """Core type: densities, balance, copies, automorphisms, distances."""
 
+import hashlib
 import itertools
 import json
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,10 @@ from hyperspectra.hypergraph import (
     is_strictly_balanced,
     max_density,
 )
-from hyperspectra.hypergraph import _embedding_search, _peel, _search_plan
+from hyperspectra.extensions import RootedPair, _strict_search
+from hyperspectra.experiments import count_unextendable_copies
+from hyperspectra.hypergraph import (_GROUP_BOUND, _embedding_search, _peel, _search_plan,
+                                     _symmetry)
 
 import oracles
 
@@ -215,6 +220,16 @@ class TestCopies:
             assert emb == oracles.brute_embedding_count(host, pat)
             assert emb == count_copies(host, pat) * automorphism_count(pat)
 
+    def test_mixed_uniformity_refused(self):
+        # no shortcut answers before the uniformities are compared
+        host = EDGE3
+        for pat in (Hypergraph(2, 2, []), Hypergraph(2, 3, [(0, 1), (1, 2), (0, 2)]),
+                    Hypergraph(2, 2, [(0, 1)])):
+            with pytest.raises(ValueError, match="uniformity"):
+                contains_copy(host, pat)
+            with pytest.raises(ValueError, match="uniformity"):
+                count_embeddings(host, pat)
+
     def test_contains_copy_agrees(self):
         rng = random.Random(6)
         for _ in range(40):
@@ -379,6 +394,161 @@ class TestCycleOrder:
     def test_witness_self_embeddings(self):
         w = build_two_cycle_witness(3, 2, 1, 1)
         assert count_embeddings(w, w, cap=15) == automorphism_count(w, cap=15)
+
+
+# patterns with large automorphism groups, brute-forceable on hosts of 8-9 vertices
+SYMMETRIC = {
+    "K3": Hypergraph(2, 3, [(0, 1), (1, 2), (0, 2)]),
+    "C4": Hypergraph(2, 4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    "K4^(3)": complete(3, 4),
+    "loose C3": loose_cycle3(3),
+    "loose C4": loose_cycle3(4),
+    "star2": Hypergraph(2, 4, [(0, 1), (0, 2), (0, 3)]),
+    "star3": Hypergraph(3, 7, [(0, 1, 2), (0, 3, 4), (0, 5, 6)]),
+    "two edges": Hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)]),
+    # isolated vertices, one of them between the edge vertices
+    "K3 + 2 isolated": Hypergraph(2, 5, [(0, 2), (2, 3), (0, 3)]),
+    "edge + 2 isolated": Hypergraph(3, 5, [(1, 2, 4)]),
+}
+
+# rooted pairs whose added part has symmetries fixing the roots
+SYMMETRIC_PAIRS = {
+    # two edges through the root: 8 maps fix it
+    "bow at root": RootedPair(Hypergraph(3, 5, [(0, 1, 2), (0, 3, 4)]), 1),
+    # a 4-cycle rooted at opposite vertices: the other two swap
+    "C4 opposite": RootedPair(Hypergraph(2, 4, [(0, 2), (1, 2), (0, 3), (1, 3)]), 2),
+    # a triangle apart from the root edge: its three vertices rotate freely
+    "detached triangle": RootedPair(Hypergraph(2, 5, [(0, 1), (2, 3), (3, 4), (2, 4)]), 2,
+                                    [(0, 1)]),
+    # perfbench's unextendable pair: the added triple is detached
+    "two triples": RootedPair(Hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)]), 3, [(0, 1, 2)]),
+}
+
+# sha256 of `_collect_runs()`, recorded before exists and count broke
+# symmetry: collect must keep every map and its order
+COLLECT_DIGEST = "375046120f638399900dd8c1eaf831748c1df56ba56bf64969ca478de1d43fd1"
+
+
+def _added_pattern(pair):
+    return Hypergraph(pair.g.s, pair.g.n, pair.pattern_edges)
+
+
+def _brute_rooted_count(host, roots, pair, forbidden):
+    """Placements of the added part over the roots that land every
+    pattern edge on a host edge, strict or not."""
+    pool = [w for w in range(host.n) if w not in set(roots) | set(forbidden)]
+    count = 0
+    for placement in itertools.permutations(pool, pair.v_diff):
+        image = tuple(roots) + placement
+        count += all(tuple(sorted(image[x] for x in e)) in host.edge_set
+                     for e in pair.pattern_edges)
+    return count
+
+
+def _collect_runs():
+    rng = random.Random(2007)
+    runs = []
+    for name in sorted(SYMMETRIC):
+        pat = SYMMETRIC[name]
+        host = planted_host(rng, pat, pat.n + 2, 0.3 if pat.s == 2 else 0.08)
+        for strict in (False, True):
+            for forbidden in ((), (0,)):
+                runs.append(_embedding_search(host, pat, "collect", strict=strict,
+                                              forbidden=forbidden))
+    for name in sorted(SYMMETRIC_PAIRS):
+        pair = SYMMETRIC_PAIRS[name]
+        host = planted_host(rng, pair.g, 8, 0.3 if pair.g.s == 2 else 0.1)
+        for strict in (False, True):
+            runs.append(_embedding_search(host, _added_pattern(pair), "collect", strict=strict,
+                                          roots=tuple(range(pair.roots))))
+    w = build_two_cycle_witness(3, 2, 1, 1)
+    host = planted_host(rng, w, 20, 0.01)
+    runs.append(_embedding_search(host, w, "collect"))
+    runs.append(_embedding_search(w, w, "collect"))
+    return runs
+
+
+class TestSymmetryBreaking:
+    """exists and count visit one map per automorphism class and count
+    multiplies by the group order; every answer must match the
+    unconditioned brute-force scans."""
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC))
+    def test_counts_match_bruteforce(self, name):
+        pat = SYMMETRIC[name]
+        assert automorphism_count(pat) == len(oracles.brute_automorphisms(pat))
+        assert _symmetry(pat, 0).order * factorial(len(_search_plan(pat).loose)) == (
+            automorphism_count(pat))
+        rng = random.Random(name)
+        # brute force walks (n)_v maps: at most (8)_8 = 40,320 per host
+        for n in (pat.n, 8) if pat.n >= 7 else (pat.n, 8, 9):
+            host = planted_host(rng, pat, n, 0.3 if pat.s == 2 else 0.1)
+            for forbidden in ((), (rng.randrange(n),)):
+                rest = host.induced([w for w in range(n) if w not in forbidden])
+                emb = oracles.brute_embedding_count(rest, pat)
+                ind = oracles.brute_induced_embedding_count(rest, pat)
+                for strict, want in ((False, emb), (True, ind)):
+                    kw = {"strict": strict, "forbidden": forbidden}
+                    assert _embedding_search(host, pat, "count", **kw) == want
+                    assert _embedding_search(host, pat, "exists", **kw) == min(want, 1)
+                    assert len(_embedding_search(host, pat, "collect", **kw)) == want
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_PAIRS))
+    def test_rooted_counts_match_bruteforce(self, name):
+        pair = SYMMETRIC_PAIRS[name]
+        pat = _added_pattern(pair)
+        fixing = [m for m in oracles.brute_automorphisms(pair.g)
+                  if m[:pair.roots] == tuple(range(pair.roots))]
+        assert _symmetry(pat, pair.roots).order == len(fixing) > 1
+        rng = random.Random(name)
+        extended = 0
+        for _ in range(3):
+            host = planted_host(rng, pair.g, 8, 0.3 if pair.g.s == 2 else 0.05)
+            assert count_unextendable_copies(host, pair) == (
+                oracles.brute_unextendable_copies(host, pair))
+            for roots in rng.sample(list(itertools.permutations(range(8), pair.roots)), 4):
+                for forbidden in ((), (rng.choice([w for w in range(8) if w not in roots]),)):
+                    kw = {"roots": roots, "forbidden": forbidden}
+                    placements = oracles.brute_strict_extensions(host, roots, pair, forbidden)
+                    extended += bool(placements)
+                    assert _embedding_search(host, pat, "count", strict=True, **kw) == (
+                        len(placements))
+                    assert _strict_search(host, roots, pair, "exists", forbidden=forbidden) == (
+                        min(len(placements), 1))
+                    assert _embedding_search(host, pat, "count", **kw) == (
+                        _brute_rooted_count(host, roots, pair, forbidden))
+        assert extended
+
+    def test_witness(self):
+        # gate 3's 15-vertex witness: the unconditioned collect is the reference
+        w = build_two_cycle_witness(3, 2, 1, 1)
+        assert _symmetry(w, 0).order == automorphism_count(w, cap=w.n) == 4
+        rng = random.Random(15)
+        for _ in range(3):
+            host = planted_host(rng, w, 22, 0.005)
+            for strict in (False, True):
+                for forbidden in ((), (rng.randrange(22),)):
+                    kw = {"strict": strict, "forbidden": forbidden}
+                    want = len(_embedding_search(host, w, "collect", **kw))
+                    assert _embedding_search(host, w, "count", **kw) == want
+                    assert _embedding_search(host, w, "exists", **kw) == min(want, 1)
+
+    def test_group_past_the_bound(self):
+        # K_{1,7} and a disjoint edge: 7! * 2 automorphisms, so the search
+        # runs without conditions and automorphism_count counts them by it
+        pat = Hypergraph(2, 10, [(0, x) for x in range(1, 8)] + [(8, 9)])
+        assert factorial(7) * 2 > _GROUP_BOUND
+        assert _symmetry(pat, 0) is None
+        assert len(_embedding_search(pat, pat, "collect", limit=10)) == 10
+        assert automorphism_count(pat) == factorial(7) * 2
+        host = Hypergraph(2, 11, pat.edges + ((9, 10),))
+        assert contains_copy(host, pat)
+        assert _embedding_search(host, pat, "exists", forbidden=(0,)) == 0
+
+    def test_collect_maps_unchanged(self):
+        runs = _collect_runs()
+        assert all(runs[-2:]) and sum(map(len, runs)) > 1000
+        assert hashlib.sha256(repr(runs).encode()).hexdigest() == COLLECT_DIGEST
 
 
 class TestDistance:

@@ -442,11 +442,33 @@ def _peel(edges, profiles) -> list[Edge]:
     An edge survives while the sorted degrees of its vertices, counted
     among surviving edges, dominate some pattern edge profile position by
     position.  The image of every embedding survives, so no answer changes.
+
+    With `low` the least entry of any profile, a vertex of degree below
+    `low` is in no surviving edge.  When `low` >= 2, a vertex pass (the
+    cores queue of Batagelj & Zaversnik 2003) first drops each such
+    vertex's edges once; a vertex is queued when its degree falls to
+    low - 1, so at most once.  If every profile entry equals `low`, that
+    core is the fixed point.  At `low` = 1 nothing is queued, so the pass
+    is skipped.
     """
     deg, inc = _incidence(edges)
     # the test only sees min(degree, top): higher degrees need no recheck
     top = max(max(p) for p in profiles)
+    low = min(p[0] for p in profiles)
     alive = set(edges)
+    if low >= 2:
+        queue = [x for x, d in deg.items() if d < low]
+        while queue:
+            for f in inc[queue.pop()]:
+                if f in alive:
+                    alive.remove(f)
+                    for y in f:
+                        deg[y] -= 1
+                        if deg[y] == low - 1:
+                            queue.append(y)
+        edges = [f for f in edges if f in alive]
+        if top == low:
+            return edges
     stack = list(edges)
     while stack:
         f = stack.pop()

@@ -9,6 +9,7 @@ code against these on small instances.
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
@@ -123,6 +124,47 @@ def bfs_distance(g: Hypergraph, x: int, y: int):
 def random_hypergraph(rng, s: int, n: int, p: float) -> Hypergraph:
     edges = [e for e in itertools.combinations(range(n), s) if rng.random() < p]
     return Hypergraph(s, n, edges)
+
+
+def naive_peel(edges, profiles) -> list:
+    """The edges `hypergraph._peel` keeps, by whole rounds: recount every
+    degree, drop each edge whose sorted degrees dominate no profile
+    position by position, and repeat until a round drops nothing."""
+    kept = list(edges)
+    while True:
+        deg = Counter(x for f in kept for x in f)
+        survivors = [f for f in kept
+                     if any(all(d >= q for d, q in zip(sorted(deg[x] for x in f), p))
+                            for p in profiles)]
+        if len(survivors) == len(kept):
+            return kept
+        kept = survivors
+
+
+def copy_count_moments(pattern: Hypergraph, n: int, p):
+    """Exact (mean, variance) of the number of copies of `pattern` (no
+    isolated vertices) in G^s(n, p); exact in Fractions when p is one.
+
+    The mean is N p^e with N = (n)_v / aut copies in the complete
+    hypergraph.  The variance sums p^(2e-k) - p^(2e) over ordered pairs
+    of copies sharing k >= 1 edges: fix the copy A on vertices 0..v-1 and
+    list every copy B on v - j of A's vertices and j new ones, each such
+    vertex set standing for C(n - v, j) of them.
+    """
+    v, e = pattern.n, pattern.e
+    copies = math.perm(n, v) // len(brute_automorphisms(pattern))
+    fixed = set(pattern.edges)
+    per_copy = 0
+    for j in range(v - pattern.s + 1):
+        for kept in itertools.combinations(range(v), v - j):
+            spots = kept + tuple(range(v, v + j))
+            others = {frozenset(tuple(sorted(perm[x] for x in f)) for f in pattern.edges)
+                      for perm in itertools.permutations(spots)}
+            for other in others:
+                k = len(fixed.intersection(other))
+                if k:
+                    per_copy += math.comb(n - v, j) * (p ** (2 * e - k) - p ** (2 * e))
+    return copies * p ** e, copies * per_copy
 
 
 def float_threshold_sample(params, ps) -> list[Hypergraph]:

@@ -85,22 +85,35 @@ def test_1_threshold_sides(capsys):
 
 
 def test_2_poisson_copy_counts(capsys):
-    """Triangle counts at p=1/n: Poisson(1/6) fit plus cross-pattern independence."""
+    """Triangle counts at p=1/n: Poisson(1/6) fit plus cross-pattern independence.
+
+    Each pattern's mean copy count must also lie within 4 standard errors
+    of its exact finite-n mean, the SE taken from the exact variance
+    (`oracles.copy_count_moments`), not from the sample.
+    """
     t0 = time.perf_counter()
     rep = copy_count_distribution([TRIANGLE, FOUR_CYCLE], n=150, trials=2000,
                                   seed=7, p=1 / 150)
     elapsed = time.perf_counter() - t0
     mean, tv = rep.means[0], rep.tv_distances[0]
     corr = rep.correlations[0][2]
-    ok = 0.14 <= mean <= 0.19 and tv < 0.05 and abs(corr) < 0.1 and elapsed < 300
+    exact = [oracles.copy_count_moments(g, 150, Fraction(1, 150))
+             for g in (TRIANGLE, FOUR_CYCLE)]
+    z = [(m - float(mu)) / math.sqrt(var / 2000) for m, (mu, var) in zip(rep.means, exact)]
+    ok = (0.14 <= mean <= 0.19 and tv < 0.05 and abs(corr) < 0.1 and elapsed < 300
+          and all(abs(zi) <= 4 for zi in z))
     _emit(capsys, 2, ok,
           f"triangle copies at n=150: mean={mean:.3f} in [0.14,0.19], "
-          f"TV={tv:.3f}<0.05, |corr|={abs(corr):.3f}<0.1, {elapsed:.1f}s")
+          f"TV={tv:.3f}<0.05, |corr|={abs(corr):.3f}<0.1, {elapsed:.1f}s; "
+          f"exact means {float(exact[0][0]):.6f} and {float(exact[1][0]):.6f}, "
+          f"z={z[0]:+.2f} and {z[1]:+.2f}")
     assert rep.rates[0] == 1 / 6
     assert 0.14 <= mean <= 0.19
     assert tv < 0.05
     assert abs(corr) < 0.1
     assert elapsed < 300
+    for zi in z:
+        assert abs(zi) <= 4
 
 
 def test_3_non_limit_window(capsys):

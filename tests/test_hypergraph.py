@@ -1,8 +1,11 @@
 """Core type: densities, balance, copies, automorphisms, distances."""
 
+import collections
 import hashlib
 import itertools
 import json
+import math
+import operator
 import random
 from fractions import Fraction
 from math import factorial
@@ -25,8 +28,10 @@ from hyperspectra.hypergraph import (
     is_strictly_balanced,
     max_density,
 )
+from hyperspectra import hypergraph
 from hyperspectra.extensions import RootedPair, _strict_search
 from hyperspectra.experiments import count_unextendable_copies
+from hyperspectra.sampling import ModelParams, sample
 from hyperspectra.hypergraph import (_GROUP_BOUND, _embedding_search, _peel, _search_plan,
                                      _symmetry)
 
@@ -286,6 +291,36 @@ class TestSparseHosts:
             peeled_hits += emb > 0 and len(kept) < host.e
         assert peeled_hits >= 2
 
+    # least profile entry 2 or 3, so peeling runs its vertex pass first:
+    # C4 ((2, 2)), K4 minus an edge ((2, 3), then the edge pass) and K4^(3)
+    CORED = {
+        2: [Hypergraph(2, 4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+            Hypergraph(2, 4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])],
+        3: [Hypergraph(3, 4, list(itertools.combinations(range(4), 3)))],
+    }
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_cored_patterns_match_bruteforce(self, s):
+        rng = random.Random(70 + s)
+        peeled_hits = misses = 0
+        for i in range(16):
+            pat = self.CORED[s][(i // 2) % len(self.CORED[s])]
+            assert min(prof[0] for prof in _search_plan(pat).profiles) >= 2
+            n = rng.randint(8, 11)
+            p = rng.uniform(1.5, 3) / math.comb(n - 1, s - 1)  # mean degree 1.5-3
+            # odd i plants a copy, so that peeling has something to keep
+            host = planted_host(rng, pat, n, p) if i % 2 else (
+                oracles.random_hypergraph(rng, s, n, p))
+            emb = oracles.brute_embedding_count(host, pat)
+            assert count_embeddings(host, pat) == emb
+            assert contains_copy(host, pat) == (emb > 0)
+            assert count_embeddings(host, pat, induced=True) == (
+                oracles.brute_induced_embedding_count(host, pat))
+            kept = _peel(host.edges, _search_plan(pat).profiles)
+            peeled_hits += emb > 0 and len(kept) < host.e
+            misses += emb == 0 and 0 < host.e
+        assert peeled_hits >= 2 and misses >= 2
+
     @pytest.mark.parametrize("s", [2, 3])
     def test_shared_peel_memo(self, s):
         # one memo per host serves patterns with different minimal profiles
@@ -357,6 +392,95 @@ MULTI_CYCLE = {
     # a loose 3-cycle with a pendant edge at the non-junction vertex 1
     "cycle-pendant": Hypergraph(3, 8, [(0, 1, 2), (2, 3, 4), (0, 4, 5), (1, 6, 7)]),
 }
+
+
+def _antichain(profiles) -> bool:
+    return not any(p != q and all(map(operator.ge, p, q))
+                   for p in profiles for q in profiles)
+
+
+class TestPeel:
+    """`_peel` keeps what `oracles.naive_peel` keeps, in the same order."""
+
+    # minimal-profile sets per uniformity: least entry 1 (edge pass only),
+    # constant at 2 or 3 (vertex pass only), and mixed with least entry
+    # 2 (vertex pass, then edge pass; (2, 3) is K4 minus an edge)
+    PROFILES = {
+        2: [((1, 2),), ((1, 3), (2, 2)),
+            ((2, 2),), ((3, 3),),
+            ((2, 3),), ((2, 4), (3, 3))],
+        3: [((1, 2, 2),), ((1, 1, 3), (2, 2, 2)),
+            ((2, 2, 2),), ((3, 3, 3),),
+            ((2, 2, 3),), ((2, 3, 3),), ((2, 2, 4), (2, 3, 3))],
+        4: [((1, 1, 2, 2),), ((1, 2, 2, 2),),
+            ((2, 2, 2, 2),), ((3, 3, 3, 3),),
+            ((2, 2, 2, 3),), ((2, 2, 2, 4), (2, 3, 3, 3))],
+    }
+
+    @staticmethod
+    def hosts(rng, s, count, top):
+        """Shuffled edge lists of random s-graphs whose mean degree lies
+        between 0.5 and top + 2."""
+        for _ in range(count):
+            n = rng.randint(s + 2, 16)
+            p = rng.uniform(0.5, top + 2) / math.comb(n - 1, s - 1)
+            edges = list(oracles.random_hypergraph(rng, s, n, p).edges)
+            rng.shuffle(edges)
+            yield edges
+
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_matches_naive_fixed_point(self, s):
+        rng = random.Random(90 + s)
+        for profiles in self.PROFILES[s]:
+            assert _antichain(profiles)
+            partial = 0
+            for edges in self.hosts(rng, s, 40, max(map(max, profiles))):
+                kept = _peel(edges, profiles)
+                assert kept == oracles.naive_peel(edges, profiles)
+                partial += 0 < len(kept) < len(edges)
+            assert partial >= 3, profiles
+
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_vertex_pass_reads_each_vertex_once(self, s, monkeypatch):
+        # With every profile entry equal, the vertex pass is the whole peel:
+        # it reads the edges of exactly the vertices that lose all theirs,
+        # each once.
+        reads = collections.Counter()
+
+        class Counted(dict):
+            def __getitem__(self, x):
+                reads[x] += 1
+                return dict.__getitem__(self, x)
+
+        def counted_incidence(edges):
+            deg, inc = incidence(edges)
+            return deg, Counted(inc)
+
+        incidence = hypergraph._incidence
+        monkeypatch.setattr(hypergraph, "_incidence", counted_incidence)
+        rng = random.Random(95 + s)
+        for low in (2, 3):
+            partial = 0
+            for edges in self.hosts(rng, s, 30, low):
+                reads.clear()
+                kept = _peel(edges, ((low,) * s,))
+                assert kept == oracles.naive_peel(edges, ((low,) * s,))
+                assert set(reads.values()) <= {1}
+                assert set(reads) == set().union(*edges) - set().union(*kept)
+                partial += 0 < len(kept) < len(edges)
+            assert partial >= 3
+
+    def test_sparse_graphs_at_the_triangle_profile(self):
+        # gate 2's hosts: G(150, 1/150), peeled for K3 and C4
+        profiles = _search_plan(Hypergraph(2, 3, [(0, 1), (1, 2), (0, 2)])).profiles
+        assert profiles == ((2, 2),)
+        cores = 0
+        for i in range(12):
+            host = sample(ModelParams(2, 150, p=1 / 150, seed=7, trial_index=i))
+            kept = _peel(host.edges, profiles)
+            assert kept == oracles.naive_peel(host.edges, profiles)
+            cores += bool(kept)
+        assert cores >= 2
 
 
 def planted_host(rng, pat, n, p):

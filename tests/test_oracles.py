@@ -70,3 +70,33 @@ def test_witness_overlap_embeddings_match_brute():
              for sub in set(small.values())}
     for f, sub in small.items():
         assert overlaps[f] == brute[sub]
+
+
+def _enumerated_copy_moments(pattern, n, p):
+    """Mean and variance of the copy count of `pattern`, by scanning every
+    s-graph on n vertices; sums of X and X^2 are grouped by edge count."""
+    slots = list(itertools.combinations(range(n), pattern.s))
+    bit = {f: 1 << i for i, f in enumerate(slots)}
+    copies = {sum(bit[tuple(sorted(perm[x] for x in f))] for f in pattern.edges)
+              for perm in itertools.permutations(range(n), pattern.n)}
+    sums = {}
+    for mask in range(1 << len(slots)):
+        x = sum(1 for c in copies if mask & c == c)
+        m = bin(mask).count("1")
+        s1, s2 = sums.get(m, (0, 0))
+        sums[m] = (s1 + x, s2 + x * x)
+    weight = {m: p ** m * (1 - p) ** (len(slots) - m) for m in sums}
+    mean = sum(weight[m] * s1 for m, (s1, _) in sums.items())
+    return mean, sum(weight[m] * s2 for m, (_, s2) in sums.items()) - mean ** 2
+
+
+def test_copy_count_moments_match_enumeration():
+    triangle = Hypergraph(2, 3, [(0, 1), (1, 2), (0, 2)])
+    four_cycle = Hypergraph(2, 4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    cherry = Hypergraph(3, 4, [(0, 1, 2), (0, 1, 3)])
+    cases = [(triangle, 5), (triangle, 6), (four_cycle, 5), (four_cycle, 6),
+             (LOOSE_PATH, 5), (cherry, 5)]
+    for pattern, n in cases:
+        for p in (Fraction(1, 3), Fraction(3, 4)):
+            assert oracles.copy_count_moments(pattern, n, p) == (
+                _enumerated_copy_moments(pattern, n, p))

@@ -29,7 +29,7 @@ from . import hypergraph
 from .hypergraph import (Hypergraph, _embedding_search, automorphism_count,
                          contains_copy, density, is_strictly_balanced)
 from .logic import compile_formula, parse, require_closed
-from .sampling import ModelParams, p_from_alpha, sample_coupled
+from .sampling import ModelParams, _no_helper, _stop_helper, p_from_alpha, sample_coupled
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -215,8 +215,14 @@ def _run_chunk(make_value, s: int, seed: int, n: int, ps, budget, indices) -> li
 
 
 def _pool(jobs: int):
-    """The worker pool a run shares across its cells: none for one job."""
-    return nullcontext() if jobs == 1 else ProcessPoolExecutor(max_workers=jobs)
+    """The worker pool a run shares across its cells: none for one job.
+    The workers start no sampler helper thread, since the jobs already
+    share the CPUs; this process's helper is shut down first, so that no
+    thread of it runs when the workers are forked."""
+    if jobs == 1:
+        return nullcontext()
+    _stop_helper()
+    return ProcessPoolExecutor(max_workers=jobs, initializer=_no_helper)
 
 
 def _run_trials(pool, jobs: int, trials: int, *args) -> list[tuple]:

@@ -117,6 +117,15 @@ class TestExitCodes:
             assert code == 1, argv
             assert err.startswith("error:")
 
+    def test_seed_and_trial_beyond_64_bits(self, capsys):
+        # the Philox key holds each in one 64-bit word
+        for flag, name in (("--seed", "seed"), ("--trial", "trial_index")):
+            argv = ["sample", "--s", "2", "--n", "10", "--p", "0.5", flag, str(2**64)]
+            code, out, err = run(argv, capsys)
+            assert (code, out) == (1, ""), flag
+            assert err == f"error: {name} must fit in 64 bits\n"
+            assert run(argv[:-1] + [str(2**64 - 1)], capsys)[0] == 0
+
     def test_decompose_needs_a_finite_bound(self, files, capsys):
         # m(s-1) = 1 would put a zero under the bound m/(m(s-1) - 1)
         code, out, err = run(["decompose", "--in", files.triangle, "--m", "1"], capsys)

@@ -3,10 +3,12 @@
 import json
 import math
 import random
+import threading
 from fractions import Fraction
 
 import pytest
 
+from hyperspectra import experiments, sampling
 from hyperspectra.errors import (BudgetExceeded, CapExceeded, HypothesisViolated,
                                  ParseError)
 from hyperspectra.experiments import (
@@ -278,7 +280,7 @@ class TestSweep:
                                6, seed=5, alpha=Fraction(2), jobs=2)
         grid = [Fraction(2), Fraction(5, 2), Fraction(3)]
         reports = sweep_alpha(cfg, grid)
-        assert pools == [{"max_workers": 2}]
+        assert pools == [{"max_workers": 2, "initializer": sampling._no_helper}]
         serial = ExperimentConfig(3, (12, 16), PropertySpec("pattern", pattern=LOOSE_PATH),
                                   6, seed=5, alpha=Fraction(2))
         assert reports == sweep_alpha(serial, grid)
@@ -525,7 +527,7 @@ class TestCountStudies:
     @pytest.mark.parametrize("study", COUNT_STUDIES.values(), ids=COUNT_STUDIES)
     def test_one_pool_per_study(self, pools, study):
         assert study(2) == study(1)
-        assert pools == [{"max_workers": 2}]
+        assert pools == [{"max_workers": 2, "initializer": sampling._no_helper}]
 
     @pytest.mark.parametrize("call, message", [
         (lambda: copy_count_distribution(TRIANGLE, 30, 0, seed=1), "trials"),
@@ -624,6 +626,33 @@ class TestPersistence:
         _, records = load_jsonl(path)
         assert len(records) == 60
         assert records[:30] == records[30:]
+
+
+def _threads_after_multi_block_draw(trial: int) -> int:
+    sample(ModelParams(3, 80, p=0.01, seed=1, trial_index=trial))
+    return threading.active_count()
+
+
+class TestSamplerHelper:
+    """Multi-block draws read their blocks on the caller and one helper
+    thread, except in the worker processes of a pool."""
+
+    def test_workers_start_no_helper(self, tmp_path):
+        # a multi-block draw (C(80, 3) = 82,160 words) first, so that this
+        # process has a helper running, where it has more than one CPU
+        sample(ModelParams(3, 80, p=0.01, seed=1))
+        records = []
+        for jobs in (1, 2):
+            path = tmp_path / f"jobs{jobs}.jsonl"
+            estimate_probability(pattern_cfg(LOOSE_PATH, 80, 40, 9, alpha=Fraction(9, 4),
+                                             jobs=jobs, out_path=str(path)))
+            records.append(load_jsonl(path)[1])
+        assert records[0] == records[1]
+        assert 0 < sum(r.outcome for r in records[0]) < 40
+        with experiments._pool(2) as pool:
+            # no helper thread left for the fork to copy
+            assert threading.active_count() == 1
+            assert list(pool.map(_threads_after_multi_block_draw, range(4))) == [1] * 4
 
 
 class TestDeterminism:

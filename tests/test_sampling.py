@@ -1,5 +1,6 @@
 """Sampler: p computation, edge statistics, coupling, determinism."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -7,7 +8,10 @@ import math
 import os
 import platform
 import random
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import Future
 from dataclasses import replace
 from fractions import Fraction
 
@@ -42,6 +46,15 @@ def test_params_validate_p_range():
         ModelParams(s=3, n=10, p=1.5, seed=0)
     with pytest.raises(ValueError):
         ModelParams(s=3, n=10, p=-0.1, seed=0)
+
+
+def test_params_validate_seed_and_trial_range():
+    for bad in (dict(seed=-1), dict(seed=2**64), dict(trial_index=-1), dict(trial_index=2**64)):
+        with pytest.raises(ValueError):
+            ModelParams(s=2, n=10, p=0.5, **bad)
+    # the largest of each still keys a Philox stream
+    top = ModelParams(s=2, n=10, p=0.5, seed=2**64 - 1, trial_index=2**64 - 1)
+    assert sample(top) == oracles.float_threshold_sample(top, [0.5])[0]
 
 
 def test_effective_p_prefers_alpha():
@@ -302,3 +315,159 @@ def test_draws_do_not_page_fault():
     for t in range(20):
         sample_coupled(replace(params, trial_index=t), ps)
     assert (faults() - before) / 70 <= 8
+
+
+# Multi-block draws read their blocks on two threads: the caller and one
+# helper claim blocks in order.  The stubs below stand in for the helper
+# pool and decide when, or whether, the helper's read runs.
+
+SHARED_READS = [(3, 80), (3, 120), (2, 400)]
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_read_case(s, n):
+    params = ModelParams(s, n, p=0.5, seed=13, trial_index=2)
+    ps = [1 / n, 4 / n, 1e-4]
+    return params, ps, oracles.float_threshold_sample(params, ps)
+
+
+class _StubHelper:
+    """A helper pool whose `submit(fn)` returns `start(fn)`."""
+
+    def __init__(self, start):
+        self.start, self.submitted = start, 0
+
+    def submit(self, fn):
+        self.submitted += 1
+        return self.start(fn)
+
+
+class _NeverRun(Future):
+    """A task that never runs; waiting for it would hang, so it fails instead."""
+
+    def result(self, timeout=None):
+        raise AssertionError("the caller waited for a helper task that never ran")
+
+
+def _run_inline(fn):
+    task = Future()
+    fn()
+    task.set_result(None)
+    return task
+
+
+@pytest.mark.parametrize("s,n", SHARED_READS)
+def test_helper_that_never_runs(monkeypatch, s, n):
+    # the caller claims every block itself and does not wait
+    params, ps, want = _shared_read_case(s, n)
+    stub = _StubHelper(lambda fn: _NeverRun())
+    monkeypatch.setattr(sampling, "_helper", lambda: stub)
+    assert sample_coupled(params, ps) == want
+    assert stub.submitted == 1
+
+
+@pytest.mark.parametrize("s,n", SHARED_READS)
+def test_helper_claims_every_block(monkeypatch, s, n):
+    # the helper's read runs at submit, before the caller claims any block
+    params, ps, want = _shared_read_case(s, n)
+    monkeypatch.setattr(sampling, "_helper", lambda: _StubHelper(_run_inline))
+    assert sample_coupled(params, ps) == want
+
+
+def _stop_in_first_block(monkeypatch, fails):
+    """A helper start whose read claims the first block and stops inside
+    it: its task then holds the error if `fails`, else never finishes."""
+    def start(fn):
+        task = Future() if fails else _NeverRun()
+        with monkeypatch.context() as patch:
+            patch.setattr(sampling, "_below", lambda words, p: 1 / 0)
+            try:
+                fn()
+            except ZeroDivisionError as exc:
+                if fails:
+                    task.set_exception(exc)
+        return task
+    return start
+
+
+@pytest.mark.parametrize("s,n", SHARED_READS)
+def test_stalled_helper_block_read_again(monkeypatch, s, n):
+    # the caller reads the other blocks, then the helper's unfinished one
+    # itself, without waiting for the helper
+    params, ps, want = _shared_read_case(s, n)
+    stub = _StubHelper(_stop_in_first_block(monkeypatch, fails=False))
+    monkeypatch.setattr(sampling, "_helper", lambda: stub)
+    assert sample_coupled(params, ps) == want
+
+
+@pytest.mark.parametrize("s,n", SHARED_READS)
+def test_helper_error_reraised(monkeypatch, s, n):
+    params, ps, _ = _shared_read_case(s, n)
+    stub = _StubHelper(_stop_in_first_block(monkeypatch, fails=True))
+    monkeypatch.setattr(sampling, "_helper", lambda: stub)
+    with pytest.raises(ZeroDivisionError):
+        sample_coupled(params, ps)
+
+
+def test_one_cpu_starts_no_helper(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a helper was started on one CPU")
+
+    monkeypatch.setattr(sampling, "_cpus", lambda: 1)
+    monkeypatch.setattr(sampling, "_HELPER", (None, None))
+    monkeypatch.setattr(sampling, "ThreadPoolExecutor", refuse)
+    for s, n in SHARED_READS:
+        params, ps, want = _shared_read_case(s, n)
+        assert sample_coupled(params, ps) == want
+    assert sampling._HELPER == (os.getpid(), None)
+
+
+def test_helper_made_once_per_process(monkeypatch):
+    # on more than one CPU the first multi-block draw makes the helper, and
+    # later draws share it; a single-block draw does not ask for one
+    monkeypatch.setattr(sampling, "_cpus", lambda: 2)
+    monkeypatch.setattr(sampling, "_HELPER", (None, None))
+    sample(ModelParams(3, 20, p=0.5))
+    assert sampling._HELPER == (None, None)
+    threads = threading.active_count()
+    try:
+        for s, n in SHARED_READS:
+            params, ps, want = _shared_read_case(s, n)
+            assert sample_coupled(params, ps) == want
+        pid, helper = sampling._HELPER
+        assert pid == os.getpid() and helper is not None
+        assert threading.active_count() == threads + 1
+    finally:
+        sampling._stop_helper()
+    assert threading.active_count() == threads
+
+
+def test_concurrent_draws_share_one_helper(monkeypatch):
+    # more drawing threads than CPUs, all submitting to the one helper,
+    # with blocks of 256 words and a switch interval short enough to
+    # interleave the claims: a claim taken twice, or out of order by one
+    # thread, reads a block from the wrong place in the stream
+    monkeypatch.setattr(sampling, "_BLOCK", 256)
+    monkeypatch.setattr(sampling, "_cpus", lambda: 2)
+    monkeypatch.setattr(sampling, "_HELPER", (None, None))
+    cases = [_shared_read_case(s, n) for s, n in SHARED_READS]
+    matches = []
+
+    def draw():
+        for _ in range(2):
+            for params, ps, want in cases:
+                matches.append(sample_coupled(params, ps) == want)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        sampling._stop_helper()
+    assert matches == [True] * (4 * 2 * len(cases))

@@ -23,7 +23,14 @@ Edge = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """An s-uniform hypergraph on vertex set {0, ..., n-1}."""
+    """An s-uniform hypergraph on vertex set {0, ..., n-1}.
+
+    The constructor is the only public one: it sorts, checks and
+    deduplicates the edges it is given.  `_from_canonical` checks nothing
+    and is the sampler's alone: its edges must already be what the
+    constructor would store, a strictly increasing tuple of ascending
+    tuples of `int` s-sets inside range(n).
+    """
 
     s: int
     n: int
@@ -45,6 +52,14 @@ class Hypergraph:
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(canon)))
+
+    @classmethod
+    def _from_canonical(cls, s: int, n: int, edges: tuple[Edge, ...]) -> "Hypergraph":
+        g = object.__new__(cls)
+        object.__setattr__(g, "s", s)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        return g
 
     @property
     def v(self) -> int:

@@ -8,11 +8,21 @@ in fixed blocks, one block alive per thread, and only the kept ranks are
 unranked into vertex sets, so no edge table is built; only the unranking's
 binomial columns, s + 1 arrays of n entries, are kept per (n, s).
 Thresholding the same words at several probabilities yields nested
-(monotone-coupled) samples for free.
+(monotone-coupled) samples for free.  The kept rows are sorted
+lexicographically once; each host is a mask of them, so it is already in
+the constructor's canonical form and is handed over by
+`Hypergraph._from_canonical` without a re-sort or re-check.
+
+Each thread reads on one Philox of its own, reset through `.state` (key,
+counter, buffer position) to the first word of each block it reads.  A
+new Philox per draw costs several times as much as the reset, since
+numpy seeds a SeedSequence from OS entropy even when a key replaces it;
+the reset sets every field, so nothing read before, in this draw or an
+earlier one, carries over.
 
 A draw of more than one block reads its blocks on two threads, the caller
 and one helper per process, which claim them in order: Philox is
-counter-based, so a thread can start its stream at any block, and the
+counter-based, so a thread can reset its stream to any block, and the
 draw does not depend on which thread read which block.  The caller never
 waits for the helper; it reads again any block the helper has not stored
 when none is left to claim.  No helper runs where the process may use one
@@ -159,47 +169,51 @@ def _no_helper() -> None:
     _HELPER = (os.getpid(), None)
 
 
+_LOCAL = threading.local()  # .stream: this thread's Philox, made on first use
+
+
+def _stream(key: list[int], step: int) -> np.random.Philox:
+    """This thread's Philox, reset to counter step `step` (4 words each) of
+    the stream keyed by `key`: it then reads what `Philox(key=key,
+    counter=step)` would.  The reset sets the whole state, buffer position
+    included, so nothing read before carries over."""
+    stream = getattr(_LOCAL, "stream", None)
+    if stream is None:
+        stream = _LOCAL.stream = np.random.Philox(0)
+    stream.state = {"bit_generator": "Philox", "state": {"counter": [step, 0, 0, 0], "key": key},
+                    "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return stream
+
+
 class _Blocks:
     """The blocks of one draw's stream.  Threads claim them in order under
     a lock and store each block's kept ranks and words by block index."""
 
-    def __init__(self, key: np.ndarray, total: int, top: float):
+    def __init__(self, key: list[int], total: int, top: float):
         self.key, self.total, self.top = key, total, top
         self.kept = [None] * -(-total // _BLOCK)
         self._next = 0
         self._lock = threading.Lock()
 
     def _claim(self) -> int:
-        # a thread's own claims must only increase: its stream only advances
         with self._lock:
             i, self._next = self._next, self._next + 1
         return i
 
-    def _store(self, i: int, block: np.ndarray) -> None:
-        keep = np.flatnonzero(_below(block, self.top))
-        self.kept[i] = (keep + i * _BLOCK, block[keep])
-
     def read(self) -> None:
-        """Read and threshold blocks until none is left to claim, from this
-        thread's own stream advanced to each claimed block's start."""
-        stream, at = np.random.Philox(key=self.key), 0
+        """Read and threshold blocks until none is left to claim."""
         while (i := self._claim()) < len(self.kept):
-            start = i * _BLOCK
-            if start > at:
-                stream.advance((start - at) // 4)  # one counter step is 4 words
-            block = stream.random_raw(min(_BLOCK, self.total - start))
-            at = start + len(block)
-            self._store(i, block)
-            # free the block before reading the next: with two alive, the heap
-            # grows by about 1 MB that is handed back after the draw and
-            # page-faulted in again on the next one
-            del block
+            self.read_block(i)
 
     def read_block(self, i: int) -> None:
-        """Read block i again, on a stream started at its first word."""
+        """Read and threshold block i on this thread's stream, reset to the
+        block's first word.  The block is freed on return, before the next
+        is read: with two alive, the heap grows by about 1 MB that is handed
+        back after the draw and page-faulted in again on the next one."""
         start = i * _BLOCK
-        stream = np.random.Philox(key=self.key, counter=start // 4)
-        self._store(i, stream.random_raw(min(_BLOCK, self.total - start)))
+        block = _stream(self.key, start // 4).random_raw(min(_BLOCK, self.total - start))
+        keep = np.flatnonzero(_below(block, self.top))
+        self.kept[i] = (keep + start, block[keep])
 
 
 def _read_stream(params: ModelParams, total: int, top: float) -> list[tuple]:
@@ -209,7 +223,7 @@ def _read_stream(params: ModelParams, total: int, top: float) -> list[tuple]:
     stored by the time no block is left to claim, the caller reads again,
     so a helper that is slow or off CPU costs at most one block.  An error
     the helper has raised by then is re-raised."""
-    blocks = _Blocks(np.array([params.seed, params.trial_index], dtype=np.uint64), total, top)
+    blocks = _Blocks([params.seed, params.trial_index], total, top)
     helper = _helper() if len(blocks.kept) > 1 else None
     task = helper.submit(blocks.read) if helper is not None else None
     blocks.read()
@@ -241,13 +255,15 @@ def sample_coupled(params: ModelParams, ps, budget: int | None = None) -> list[H
             raise ValueError(f"edge probability must be in [0, 1], got {q}")
     top = max(ps, default=0.0)
     if top == 0.0:
-        return [Hypergraph(params.s, params.n, []) for _ in ps]
+        return [Hypergraph._from_canonical(params.s, params.n, ()) for _ in ps]
     total = comb(params.n, params.s)
     check_budget(total, DEFAULT_EDGE_BUDGET, budget, "potential edges")
     ranks, words = zip(*_read_stream(params, total, top))
     edges = _unrank(np.concatenate(ranks), params.n, params.s)
-    words = np.concatenate(words)
-    # the draw at the top probability keeps every word kept so far
-    return [Hypergraph(params.s, params.n,
-                       (edges if q == top else edges[_below(words, q)]).tolist())
+    # lexicographic order, first column first; a mask keeps it, so every
+    # host below is already sorted, and the top one keeps every row
+    order = np.lexsort(edges.T[::-1])
+    edges, words = edges[order], np.concatenate(words)[order]
+    return [Hypergraph._from_canonical(params.s, params.n, tuple(map(
+                tuple, (edges if q == top else edges[_below(words, q)]).tolist())))
             for q in ps]

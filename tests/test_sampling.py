@@ -20,7 +20,7 @@ import pytest
 
 from hyperspectra import sampling
 from hyperspectra.errors import BudgetExceeded
-from hyperspectra.hypergraph import Hypergraph
+from hyperspectra.hypergraph import Hypergraph, from_json
 from hyperspectra.sampling import ModelParams, p_from_alpha, sample, sample_coupled
 
 import oracles
@@ -220,6 +220,25 @@ def test_draws_spanning_several_blocks(s, n):
     want = oracles.float_threshold_sample(params, ps)
     assert sample_coupled(params, ps) == want
     assert [sample(replace(params, p=p)) for p in ps] == want
+
+
+@pytest.mark.parametrize("s,n", [(2, 150), (3, 40), (4, 20), (2, 400), (3, 80), (4, 40)])
+def test_sampled_hosts_canonical(s, n):
+    # hosts are handed over without re-validation: each must be exactly
+    # what the validating constructor makes of its edges
+    params = ModelParams(s, n, p=0.5, seed=17, trial_index=5)
+    nothing = 2.0**-60  # keeps a word only if it is below 2^11
+    draws = {"coupled": sample_coupled(params, [0.0, 1 / n, 0.3, 1.0]),
+             "top keeps none": sample_coupled(params, [0.0, nothing]),
+             "one": [sample(replace(params, p=1 / n))]}
+    assert [g.e for g in draws["coupled"]][::3] == [0, math.comb(n, s)]
+    assert [g.e for g in draws["top keeps none"]] == [0, 0]
+    for g in itertools.chain(*draws.values()):
+        assert g == Hypergraph(g.s, g.n, g.edges)
+        assert type(g.edges) is tuple and all(type(e) is tuple for e in g.edges)
+        assert all(a < b for a, b in zip(g.edges, g.edges[1:]))
+        assert all(type(x) is int for e in g.edges for x in e)
+        assert from_json(g.to_json()) == g
 
 
 def test_word_threshold_matches_float_uniform():
@@ -445,23 +464,28 @@ def test_helper_made_once_per_process(monkeypatch):
 def test_concurrent_draws_share_one_helper(monkeypatch):
     # more drawing threads than CPUs, all submitting to the one helper,
     # with blocks of 256 words and a switch interval short enough to
-    # interleave the claims: a claim taken twice, or out of order by one
-    # thread, reads a block from the wrong place in the stream
+    # interleave the claims: a claim taken twice reads a block twice and
+    # leaves another unread, and a stream shared by two threads, or not
+    # reset per block, reads a block from the wrong place in the stream.
+    # The last block of C(150, 2) = 11,175 words ends partway through a
+    # 4-word counter step.
     monkeypatch.setattr(sampling, "_BLOCK", 256)
     monkeypatch.setattr(sampling, "_cpus", lambda: 2)
     monkeypatch.setattr(sampling, "_HELPER", (None, None))
-    cases = [_shared_read_case(s, n) for s, n in SHARED_READS]
-    matches = []
+    cases = [_shared_read_case(s, n) for s, n in SHARED_READS + [(2, 150)]]
+    matches, streams = {}, {}
 
-    def draw():
+    def draw(k):
+        mine = matches[k] = []
         for _ in range(2):
-            for params, ps, want in cases:
-                matches.append(sample_coupled(params, ps) == want)
+            for params, ps, want in cases[k:] + cases[:k]:
+                mine.append(sample_coupled(params, ps) == want)
+                streams.setdefault(k, set()).add(sampling._LOCAL.stream)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=draw) for _ in range(4)]
+        threads = [threading.Thread(target=draw, args=(k,)) for k in range(4)]
         for t in threads:
             t.start()
         for t in threads:
@@ -470,4 +494,61 @@ def test_concurrent_draws_share_one_helper(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
         sampling._stop_helper()
-    assert matches == [True] * (4 * 2 * len(cases))
+    assert matches == {k: [True] * (2 * len(cases)) for k in range(4)}
+    # one stream per thread, kept across its draws
+    assert [len(streams[k]) for k in range(4)] == [1] * 4
+    assert len(set.union(*streams.values())) == 4
+
+
+# Each thread reads every draw on one Philox, reset at each block's start.
+
+def test_reused_stream_carries_no_state(monkeypatch):
+    # A (multi-block), then B (one block of 11,175 words, which stops 3
+    # words into a counter step), then A and B again, all on this thread's
+    # stream
+    monkeypatch.setattr(sampling, "_helper", lambda: None)
+    a, b = _shared_read_case(3, 80), _shared_read_case(2, 150)
+    assert math.comb(150, 2) % 4 == 3
+    for params, ps, want in (a, b, a, b):
+        assert sample_coupled(params, ps) == want
+    stream = sampling._LOCAL.stream
+    sample_coupled(*a[:2])
+    assert sampling._LOCAL.stream is stream
+
+
+class _Interrupted:
+    """Stands in for a thread's Philox: its first `random_raw` reads part
+    of what was asked for from the real stream, then raises."""
+
+    def __init__(self, stream):
+        self.stream, self.armed = stream, True
+
+    @property
+    def state(self):
+        return self.stream.state
+
+    @state.setter
+    def state(self, value):
+        self.stream.state = value
+
+    def random_raw(self, size):
+        if self.armed:
+            self.armed = False
+            self.stream.random_raw(size // 2 | 1)  # odd: stops inside a step
+            raise RuntimeError("stream stopped")
+        return self.stream.random_raw(size)
+
+
+@pytest.mark.parametrize("s,n", [(2, 150), (3, 80)])
+def test_stream_stopped_midway_then_reset(monkeypatch, s, n):
+    monkeypatch.setattr(sampling, "_helper", lambda: None)
+    params, ps, want = _shared_read_case(s, n)
+    sample_coupled(params, ps)  # so that this thread has its stream
+    stopped = _Interrupted(sampling._LOCAL.stream)
+    monkeypatch.setattr(sampling._LOCAL, "stream", stopped)
+    with pytest.raises(RuntimeError):
+        sample_coupled(params, ps)
+    assert stopped.stream.state["buffer_pos"] != 4  # left partway through a step
+    assert sample_coupled(params, ps) == want
+    other, other_ps, other_want = _shared_read_case(3, 120)
+    assert sample_coupled(other, other_ps) == other_want

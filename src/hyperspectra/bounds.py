@@ -23,8 +23,8 @@ from typing import NamedTuple, Optional
 from .errors import (CapExceeded, HypothesisViolated, NoSplit,
                      DEFAULT_ENUM_CAP, check_cap)
 from .extensions import RootedPair, is_strictly_balanced_pair, pair_density
-from .hypergraph import (Hypergraph, _embedding_search, _sparser, automorphism_count,
-                         density, is_strictly_balanced)
+from .hypergraph import (Hypergraph, _embedding_search, _sparser, density,
+                         is_strictly_balanced)
 
 
 def _require(cond: bool, message: str):
@@ -307,33 +307,24 @@ def graph_law_classification(alpha, k: int) -> str:
 # ---------------------------------------------------------------------------
 # Poisson rate for copies that extend to no larger copy.
 
-def automorphism_maps(g: Hypergraph, cap: Optional[int] = None):
-    """Yield every automorphism of g as an image tuple: its embeddings
-    into itself, searched in whichever of g and its complement is sparser."""
-    check_cap(g.n, DEFAULT_ENUM_CAP, cap, "map enumeration")
-    h = _sparser(g)
-    yield from _embedding_search(h, h, "collect")
-
-
 def root_symmetry_counts(pair: RootedPair,
                          cap: Optional[int] = None) -> tuple[int, int, int]:
     """(aut of the root structure, how many of those extend to the whole,
-    aut of the whole fixing every root)."""
-    r = pair.roots
-    h = pair.root_structure
-    aut_h = automorphism_count(h, cap=cap)
-    extendable = set()
-    fixing = 0
-    for sigma in automorphism_maps(pair.g, cap=cap):
-        if any(sigma[x] >= r for x in range(r)):
-            continue
-        restriction = sigma[:r]
-        if all(tuple(sorted(restriction[v] for v in e)) in h.edge_set
-               for e in h.edges):
-            extendable.add(restriction)
-        if all(sigma[x] == x for x in range(r)):
-            fixing += 1
-    return aut_h, len(extendable), fixing
+    aut of the whole fixing every root), by searches over `rest`, the
+    whole without its edges inside the roots: a self-map tau of the root
+    structure extends iff it keeps those edges and `rest` embeds in the
+    whole with the roots sent by tau."""
+    g, r = pair.g, pair.roots
+    check_cap(g.n, DEFAULT_ENUM_CAP, cap, "map enumeration")
+    inside = [e for e in g.edges if e[-1] < r]
+    rest = Hypergraph(g.s, g.n, [e for e in g.edges if e[-1] >= r])
+    h = _sparser(pair.root_structure)
+    taus = _embedding_search(h, h, "collect")
+    a1 = sum(1 for tau in taus
+             if all(g.has_edge(tau[x] for x in e) for e in inside)
+             and _embedding_search(g, rest, "exists", roots=tau))
+    a2 = _embedding_search(rest, rest, "count", roots=tuple(range(r)))
+    return len(taus), a1, a2
 
 
 def poisson_rate_from_counts(aut_h: int, a1: int, a2: int) -> float:

@@ -508,7 +508,10 @@ def load_jsonl(path) -> tuple[dict, list[TrialRecord]]:
         raise OSError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise ValueError(f"{path}: empty record file")
-    header = json.loads(lines[0])
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: header line is not JSON: {exc}") from exc
     if header.get("schema") != JSONL_SCHEMA:
         raise ValueError(f"{path}: unexpected schema {header.get('schema')!r}")
     return header, [_record_from_dict(json.loads(line)) for line in lines[1:]]
@@ -548,8 +551,12 @@ def load_csv(path) -> tuple[str, list[dict]]:
     try:
         with open(path) as fh:
             first = fh.readline().strip()
-            digest = first.removeprefix("# digest: ")
-            rows = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            rows = list(reader)
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
-    return digest, rows
+    if not first.startswith("# digest: "):
+        raise ValueError(f"{path}: line 1 lacks the '# digest: ' prefix")
+    if reader.fieldnames != CSV_FIELDS:
+        raise ValueError(f"{path}: header {reader.fieldnames} is not {CSV_FIELDS}")
+    return first.removeprefix("# digest: "), rows

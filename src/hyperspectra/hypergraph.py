@@ -303,22 +303,18 @@ def _sparser(g: Hypergraph) -> Hypergraph:
 def automorphism_count(g: Hypergraph, cap: int | None = None) -> int:
     """Number of edge-preserving vertex permutations, by pruned search.
 
-    Isolated vertices permute freely.  The core's automorphisms are its
-    embeddings into itself: an injective edge-preserving self-map of a
-    finite hypergraph is onto its vertices and its edges.  The group that
-    `_symmetry` enumerates for the matcher gives the count; a group past
-    `_GROUP_BOUND` is counted by the search.
+    The loose vertices, in no edge, permute freely; the rest's group is
+    the one `_symmetry` enumerates for the matcher.  Past `_GROUP_BOUND`
+    one count search of g's embeddings into itself gives the number: an
+    injective edge-preserving self-map of a finite hypergraph is onto its
+    vertices and its edges.
     """
     check_cap(g.n, DEFAULT_ENUM_CAP, cap, "automorphism search")
-    core_verts = [x for x in range(g.n) if g.degree(x) > 0]
-    if not core_verts:
-        return factorial(g.n)
-    free = factorial(g.n - len(core_verts))
     sym = _symmetry(g, 0)
     if sym:
-        return free * sym.order
-    core = _sparser(g.induced(core_verts))
-    return free * _embedding_search(core, core, "count")
+        return sym.order * factorial(len(_search_plan(g).loose))
+    h = _sparser(g)
+    return _embedding_search(h, h, "count")
 
 
 class _SearchPlan(NamedTuple):

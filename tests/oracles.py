@@ -98,6 +98,20 @@ def brute_automorphisms(g: Hypergraph) -> list[tuple[int, ...]]:
     return out
 
 
+def brute_root_symmetry_counts(pair: RootedPair) -> tuple[int, int, int]:
+    """`bounds.root_symmetry_counts` from every permutation: the root
+    structure's automorphisms, the distinct root restrictions of the
+    whole's automorphisms that keep the roots and the root structure, and
+    the whole's automorphisms that fix every root."""
+    g, r, h = pair.g, pair.roots, pair.root_structure
+    auts = brute_automorphisms(g)
+    extendable = {p[:r] for p in auts
+                  if all(x < r for x in p[:r])
+                  and all(h.has_edge(p[x] for x in e) for e in h.edges)}
+    fixing = sum(1 for p in auts if p[:r] == tuple(range(r)))
+    return len(brute_automorphisms(h)), len(extendable), fixing
+
+
 def bfs_distance(g: Hypergraph, x: int, y: int):
     # one hop = sharing at least one edge
     if x == y:

@@ -1,15 +1,14 @@
 """Exact threshold calculators and witness constructions."""
 
-import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from hyperspectra.bounds import (
-    automorphism_maps,
     bounds_report,
     build_dense_witness,
     build_two_cycle_witness,
@@ -31,7 +30,8 @@ from hyperspectra.bounds import (
 )
 from hyperspectra.errors import CapExceeded, HypothesisViolated
 from hyperspectra.extensions import RootedPair
-from hyperspectra.hypergraph import Hypergraph, density, is_strictly_balanced
+from hyperspectra.hypergraph import (Hypergraph, automorphism_count, density,
+                                     is_strictly_balanced)
 
 import oracles
 
@@ -241,19 +241,6 @@ class TestGraphCaseClassifier:
 UNEXT_PAIR = RootedPair(Hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)]), 3, [(0, 1, 2)])
 
 
-def brute_symmetry(pair):
-    g, r = pair.g, pair.roots
-    h_edges = {tuple(sorted(e)) for e in pair.h_edges}
-    auts = [p for p in itertools.permutations(range(g.n))
-            if all(g.has_edge(p[x] for x in e) for e in g.edges)]
-    extendable = {p[:r] for p in auts
-                  if all(p[x] < r for x in range(r))
-                  and all(tuple(sorted(p[x] for x in e)) in h_edges
-                          for e in h_edges)}
-    fixing = sum(1 for p in auts if all(p[x] == x for x in range(r)))
-    return len(extendable), fixing
-
-
 class TestPoissonRate:
     def test_plugin_value(self):
         assert poisson_rate_from_counts(1, 1, 1) == pytest.approx(math.exp(-1))
@@ -285,19 +272,26 @@ class TestPoissonRate:
             unextendable_poisson_rate(pair)
 
     def test_symmetry_counts_match_brute_force(self):
-        import random
         rng = random.Random(71)
-        checked = 0
-        while checked < 15:
-            g = oracles.random_hypergraph(rng, 3, rng.randint(4, 6), rng.random())
-            r = rng.randint(3, g.n - 1)
-            pair = RootedPair(g, r, [e for e in g.edges if max(e) < r])
-            _, a1, a2 = root_symmetry_counts(pair)
-            assert (a1, a2) == brute_symmetry(pair)
-            checked += 1
+        kinds = Counter()
+        for i in range(400):
+            s = 2 + i % 2
+            g = oracles.random_hypergraph(rng, s, rng.randint(1, 7),
+                                          rng.choice([0.2, 0.5, 0.8]))
+            r = rng.choice([0, g.n, rng.randint(0, g.n)])
+            inside = [e for e in g.edges if e[-1] < r]
+            h_edges = [e for e in inside if rng.random() < 0.6]
+            pair = RootedPair(g, r, h_edges)
+            aut_h, a1, a2 = root_symmetry_counts(pair)
+            assert (aut_h, a1, a2) == oracles.brute_root_symmetry_counts(pair)
+            # the extendable restrictions form a subgroup of the root structure's
+            assert aut_h % a1 == 0
+            kinds.update({(s, "r=0"): r == 0, (s, "r=n"): r == g.n,
+                          (s, "strict subset"): len(h_edges) < len(inside)})
+        assert len(kinds) == 6 and min(kinds.values()) >= 25
 
 
-class TestAutomorphismMaps:
+class TestAutomorphismCount:
     def test_matches_bruteforce(self):
         rng = random.Random(73)
         dense = isolated = 0
@@ -305,9 +299,9 @@ class TestAutomorphismMaps:
             s = 2 + i % 2
             g = oracles.random_hypergraph(rng, s, rng.randint(0, 7),
                                           rng.choice([0.15, 0.4, 0.8]))
-            maps = list(automorphism_maps(g))
-            assert len(maps) == len(set(maps))
-            assert set(maps) == set(oracles.brute_automorphisms(g))
+            aut = len(oracles.brute_automorphisms(g))
+            assert automorphism_count(g) == aut
+            assert root_symmetry_counts(RootedPair(g, 0)) == (1, 1, aut)
             # dense ones are searched through their complement
             dense += g.e > comb(g.n, s) // 2
             isolated += any(g.degree(x) == 0 for x in range(g.n))

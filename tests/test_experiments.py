@@ -616,6 +616,28 @@ class TestPersistence:
         assert lines[0] == f"# digest: {cfg.digest()}"
         assert lines[1] == "n,alpha,p,trials,successes,estimate,ci_lo,ci_hi,budget_exceeded"
 
+    def test_csv_refuses_missing_digest_or_header(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        cfg = pattern_cfg(LOOSE_PATH, 20, 10, 0, alpha=Fraction(2))
+        reports = [estimate_probability(cfg)] * 2
+        save_csv(path, cfg.digest(), reports)
+        digest, rows = load_csv(path)
+        assert digest == cfg.digest() and len(rows) == 2
+        lines = path.read_text().splitlines(keepends=True)
+        # without the digest line the field names would be read as the digest
+        path.write_text("".join(lines[1:]))
+        with pytest.raises(ValueError, match="summary.csv.*digest"):
+            load_csv(path)
+        path.write_text(lines[0] + "".join(lines[2:]))
+        with pytest.raises(ValueError, match="summary.csv.*header"):
+            load_csv(path)
+
+    def test_jsonl_header_not_json_names_path(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("digest: abc\n")
+        with pytest.raises(ValueError, match="bad.jsonl.*not JSON"):
+            load_jsonl(path)
+
     def test_rerun_appends_identical_outcomes(self, tmp_path):
         path = tmp_path / "trials.jsonl"
         cfg = pattern_cfg(LOOSE_PATH, 25, 30, 8, alpha=Fraction(5, 2),

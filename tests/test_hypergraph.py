@@ -32,8 +32,8 @@ from hyperspectra import hypergraph
 from hyperspectra.extensions import RootedPair, _strict_search
 from hyperspectra.experiments import count_unextendable_copies
 from hyperspectra.sampling import ModelParams, sample
-from hyperspectra.hypergraph import (_GROUP_BOUND, _embedding_search, _peel, _search_plan,
-                                     _symmetry)
+from hyperspectra.hypergraph import (_GROUP_BOUND, _complement, _embedding_search, _peel,
+                                     _search_plan, _symmetry)
 
 import oracles
 
@@ -659,12 +659,15 @@ class TestSymmetryBreaking:
 
     def test_group_past_the_bound(self):
         # K_{1,7} and a disjoint edge: 7! * 2 automorphisms, so the search
-        # runs without conditions and automorphism_count counts them by it
+        # runs without conditions and automorphism_count counts them by it;
+        # for the dense complement it searches the sparse pattern instead
         pat = Hypergraph(2, 10, [(0, x) for x in range(1, 8)] + [(8, 9)])
         assert factorial(7) * 2 > _GROUP_BOUND
         assert _symmetry(pat, 0) is None
         assert len(_embedding_search(pat, pat, "collect", limit=10)) == 10
-        assert automorphism_count(pat) == factorial(7) * 2
+        dense = _complement(pat)
+        assert dense.e > math.comb(10, 2) // 2 and _symmetry(dense, 0) is None
+        assert automorphism_count(pat) == automorphism_count(dense) == factorial(7) * 2
         host = Hypergraph(2, 11, pat.edges + ((9, 10),))
         assert contains_copy(host, pat)
         assert _embedding_search(host, pat, "exists", forbidden=(0,)) == 0

@@ -3,7 +3,7 @@ past its default and reads HYPERSPECTRA_BUDGET when no cap is given."""
 
 import pytest
 
-from hyperspectra.bounds import automorphism_maps, build_dense_witness, dense_witness_size
+from hyperspectra.bounds import build_dense_witness, dense_witness_size, root_symmetry_counts
 from hyperspectra.cyclic import m_decomposition
 from hyperspectra.errors import (CapExceeded, DEFAULT_DECOMP_CAP, DEFAULT_ENUM_CAP,
                                  DEFAULT_EXTENSION_CAP, DEFAULT_PAIR_CAP)
@@ -32,7 +32,8 @@ SITES = {
     "automorphism_count": (lambda: automorphism_count(P13), 13, DEFAULT_ENUM_CAP),
     "count_embeddings": (lambda: count_embeddings(P13, P13), 13, DEFAULT_ENUM_CAP),
     "is_isomorphic": (lambda: is_isomorphic(P13, P13), 13, DEFAULT_ENUM_CAP),
-    "automorphism_maps": (lambda: list(automorphism_maps(P13)), 13, DEFAULT_ENUM_CAP),
+    "root_symmetry_counts": (lambda: root_symmetry_counts(RootedPair(P13, 1)), 13,
+                             DEFAULT_ENUM_CAP),
     "intermediate_sets": (lambda: pair_max_density(RootedPair(loose_path(18), 1)),
                           17, DEFAULT_PAIR_CAP),
     "strict_search": (lambda: strict_extensions(P11, (0, 1), RootedPair(P11, 2)),

@@ -51,7 +51,11 @@ def main(argv=None) -> int:
                                prop=PropertySpec(kind="pattern", pattern=w),
                                trials=args.trials, seed=args.seed, alpha=alpha,
                                out_path=out_path)
-        r = estimate_probability(cfg)
+        try:
+            r = estimate_probability(cfg)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"{n} {r.estimate:.4f} {r.ci_lo:.4f} {r.ci_hi:.4f}")
     return 0
 

@@ -251,6 +251,8 @@ def estimate_probability(cfg: ExperimentConfig) -> EstimateReport:
         raise ValueError("estimate_probability wants exactly one n; use sweep_alpha")
     n = cfg.n_list[0]
     p = p_from_alpha(n, cfg.alpha) if cfg.p is None else cfg.p
+    if cfg.out_path:
+        _check_appendable(cfg.out_path, cfg)  # before the first draw, not after the last
     with _pool(cfg.jobs) as pool:
         rows = _run_trials(pool, cfg.jobs, cfg.trials, partial(cfg.prop.resolve, cfg.s),
                            cfg.s, cfg.seed, n, [p], cfg.budget)
@@ -480,17 +482,11 @@ def save_jsonl(path, cfg: ExperimentConfig, records, append: bool = False):
     Appending to a non-empty file needs its header's digest to match cfg's;
     otherwise ValueError, so records of different configs never mix.
     """
-    mode = "a+" if append else "w"
+    if append:
+        _check_appendable(path, cfg)
     try:
-        with open(path, mode) as fh:
-            if fh.tell():
-                fh.seek(0)
-                found = json.loads(fh.readline()).get("digest")
-                if found != cfg.digest():
-                    raise ValueError(f"{path}: holds records of digest {found}, "
-                                     f"not {cfg.digest()}; refusing to append")
-                fh.seek(0, 2)
-            else:
+        with open(path, "a" if append else "w") as fh:
+            if not fh.tell():
                 header = {"schema": JSONL_SCHEMA, "digest": cfg.digest(),
                           "config": cfg.describe()}
                 fh.write(json.dumps(header, sort_keys=True) + "\n")
@@ -500,21 +496,55 @@ def save_jsonl(path, cfg: ExperimentConfig, records, append: bool = False):
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def load_jsonl(path) -> tuple[dict, list[TrialRecord]]:
+def _check_appendable(path, cfg: ExperimentConfig):
+    """ValueError unless the file at path is missing, empty, or headed by
+    cfg's digest, so that cfg's records may be appended to it."""
     try:
         with open(path) as fh:
-            lines = [line for line in fh if line.strip()]
+            first = fh.readline()
+    except FileNotFoundError:
+        return
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc}") from exc
+    if first:
+        found = _json_object(path, first, "header line").get("digest")
+        if found != cfg.digest():
+            raise ValueError(f"{path}: holds records of digest {found}, "
+                             f"not {cfg.digest()}; refusing to append")
+
+
+def _json_object(path, line: str, where: str) -> dict:
+    """One line of a record file, which must hold a JSON object."""
+    try:
+        doc = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {where} is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: {where} is not a JSON object")
+    return doc
+
+
+def load_jsonl(path) -> tuple[dict, list[TrialRecord]]:
+    """The header and records of a file `save_jsonl` wrote; ValueError
+    naming the path, and the line of a bad record, on malformed input."""
+    try:
+        with open(path) as fh:
+            lines = [(k, line) for k, line in enumerate(fh, 1) if line.strip()]
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise ValueError(f"{path}: empty record file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: header line is not JSON: {exc}") from exc
+    header = _json_object(path, lines[0][1], "header line")
     if header.get("schema") != JSONL_SCHEMA:
         raise ValueError(f"{path}: unexpected schema {header.get('schema')!r}")
-    return header, [_record_from_dict(json.loads(line)) for line in lines[1:]]
+    records = []
+    for k, line in lines[1:]:
+        doc = _json_object(path, line, f"line {k}")
+        try:
+            records.append(_record_from_dict(doc))
+        except KeyError as exc:
+            raise ValueError(f"{path}: line {k} lacks field {exc}") from exc
+    return header, records
 
 
 def csv_text(digest: str, reports) -> str:

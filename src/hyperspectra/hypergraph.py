@@ -7,7 +7,7 @@ hypergraphs compare and hash equal.  All densities are `fractions.Fraction`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -103,9 +103,10 @@ class Hypergraph:
         return {r: tuple(zs) for r, zs in links.items()}
 
     @cached_property
-    def peel_memo(self) -> dict[tuple, list[Edge]]:
+    def peel_memo(self) -> dict[tuple, _Peel]:
         """The edges `_peel` keeps for each minimal-profile set searched on
-        this host without forbidden vertices; filled by `_embedding_search`."""
+        this host without forbidden vertices, with their incidence and
+        loose-cycle index; filled by `_embedding_search`."""
         return {}
 
     def degree(self, x: int) -> int:
@@ -323,8 +324,13 @@ class _SearchPlan(NamedTuple):
     degrees: tuple[int, ...]
     loose: tuple[int, ...]  # vertices in no edge and not roots, placed last
     profiles: tuple[tuple[int, ...], ...]  # minimal edge profiles, for peeling
-    # per step: (placed vertices of the edge, new vertices, edges to check
-    # as each new vertex lands, the edge's profile if it starts a component)
+    # the distinct nonempty tuples of loose-cycle lengths (of
+    # _CYCLE_LENGTHS) that pattern edges lie on; domain class k >= 1 is
+    # classes[k - 1], class 0 is every host edge
+    classes: tuple[tuple[int, ...], ...]
+    # per step: (placed vertices of the edge, new vertices, (edge, class)
+    # pairs to check as each new vertex lands, the edge's profile if it
+    # starts a component, the edge's class)
     steps: tuple[tuple, ...]
 
 
@@ -340,10 +346,18 @@ def _search_plan(pattern: Hypergraph, roots: int = 0) -> _SearchPlan:
     shortest cycle through the placed part closes (and can fail) first
     (the connectivity order of RI, Bonnici et al. 2013).  An edge whose
     vertices all land before its turn is checked when its last vertex
-    lands and gets no step of its own.
+    lands and gets no step of its own.  Each edge's domain class names the
+    loose cycle lengths it lies on; the order does not depend on them.
     """
     deg = tuple(pattern.degree(x) for x in range(pattern.n))
     profile = {e: tuple(sorted(deg[x] for x in e)) for e in pattern.edges}
+    lengths = {e: () for e in pattern.edges}
+    paths = _loose_two_paths(pattern.edges, pattern.incident)
+    for length in _CYCLE_LENGTHS:
+        for e in _loose_cycle_edges(pattern.edges, paths, length):
+            lengths[e] += (length,)
+    classes = tuple(sorted(set(lengths.values()) - {()}))
+    cls = {e: classes.index(ls) + 1 if ls else 0 for e, ls in lengths.items()}
     placed = set(range(roots))
     left = [e for e in pattern.edges if not placed.issuperset(e)]
 
@@ -366,15 +380,15 @@ def _search_plan(pattern: Hypergraph, roots: int = 0) -> _SearchPlan:
         checks = []
         for x in new:
             placed.add(x)
-            checks.append(tuple(e for e in pattern.incident[x]
+            checks.append(tuple((e, cls[e]) for e in pattern.incident[x]
                                 if e != pick and placed.issuperset(e)))
         left = [e for e in left if not placed.issuperset(e)]
-        steps.append((known, new, tuple(checks), None if known else profile[pick]))
+        steps.append((known, new, tuple(checks), None if known else profile[pick], cls[pick]))
     profiles = set(profile.values())
     minimal = tuple(sorted(p for p in profiles
                            if not any(q != p and all(map(ge, p, q)) for q in profiles)))
     return _SearchPlan(deg, tuple(x for x in range(pattern.n) if x not in placed),
-                       minimal, tuple(steps))
+                       minimal, classes, tuple(steps))
 
 
 # The largest automorphism group `_symmetry` enumerates; a pattern with a
@@ -445,6 +459,98 @@ def _hops(pattern: Hypergraph, skip: Edge, start, goal) -> int:
                         nxt.append(y)
         frontier = nxt
     return pattern.n
+
+
+# The loose cycle lengths that get search domains; see `_loose_cycle_edges`.
+_CYCLE_LENGTHS = (3, 4)
+
+
+def _loose_two_paths(edges, inc) -> tuple[dict, dict, dict]:
+    """The loose 2-paths x, f, b, g, y of the edges: f and g meet in b
+    alone, and x in f and y in g are other vertices that lie in other
+    edges.  `inc[x]` lists the edges through vertex x.  Returns each
+    edge's vertex set, each edge's vertices that lie in other edges, and
+    the 2-paths, under ends[x, y] with x < y as (f, g) with x in f."""
+    sets = {e: frozenset(e) for e in edges}
+    # a cycle enters and leaves each of its edges at vertices of other edges
+    joints = {e: [x for x in e if len(inc[x]) > 1] for e in edges}
+    ends: dict[tuple[int, int], list[tuple[Edge, Edge]]] = {}
+    for f in edges:
+        for b in joints[f]:
+            for g in inc[b]:
+                if g <= f or len(sets[f] & sets[g]) != 1:
+                    continue  # each pair once, meeting in b alone
+                for x in joints[f]:
+                    for y in joints[g]:
+                        if b not in (x, y):
+                            key = (x, y) if x < y else (y, x)
+                            ends.setdefault(key, []).append((f, g) if x < y else (g, f))
+    return sets, joints, ends
+
+
+def _loose_cycle_edges(edges, paths, length: int) -> set[Edge]:
+    """The edges that lie on a loose cycle of `length` edges, 3 or 4.
+
+    A loose cycle is `length` distinct edges where cyclically consecutive
+    edges meet in exactly one vertex, these meeting vertices are
+    distinct, and all other pairs of edges are disjoint; at s = 2 it is
+    an ordinary cycle.  A 3-cycle is an edge e and a loose 2-path between
+    two vertices x, y of e whose edges meet e in x alone and in y alone;
+    a 4-cycle is two loose 2-paths between the same two vertices that
+    meet only there.  Each edge, and each 2-path whose edges are not both
+    marked yet, stops at its first cycle and marks every edge of it.
+    `paths` is what `_loose_two_paths` returns for these edges.
+    """
+    sets, joints, ends = paths
+    on: set[Edge] = set()
+    if length == 3:
+        for e in edges:
+            if e in on:
+                continue
+            ve = sets[e]
+            for f, g in (p for xy in combinations(joints[e], 2) for p in ends.get(xy, ())):
+                if len(ve & sets[f]) == 1 and len(ve & sets[g]) == 1:
+                    on.update((e, f, g))
+                    break
+        return on
+    for pairs in ends.values():
+        for f, g in pairs:
+            if f in on and g in on:
+                continue
+            for f2, g2 in pairs:
+                if (len(sets[f] & sets[f2]) == 1 and len(sets[g] & sets[g2]) == 1
+                        and sets[f].isdisjoint(sets[g2]) and sets[g].isdisjoint(sets[f2])):
+                    on.update((f, g, f2, g2))
+                    break
+    return on
+
+
+@dataclass
+class _Peel:
+    """One host's peel for one set of minimal profiles (see `peel_memo`):
+    the surviving edges, and their incidence, loose 2-paths and
+    loose-cycle edges, each built when a search first needs it."""
+
+    edges: list[Edge]
+    deg_inc: tuple | None = None
+    paths: tuple | None = None
+    cycles: dict[int, set[Edge]] = field(default_factory=dict)
+
+    def incidence(self) -> tuple[dict[int, int], dict[int, list[Edge]]]:
+        """`_incidence` of the edges.  A search with roots adds degree 0
+        and no edges for each root image outside them, which is true for
+        every later search too."""
+        if self.deg_inc is None:
+            self.deg_inc = _incidence(self.edges)
+        return self.deg_inc
+
+    def cycle_edges(self, length: int) -> set[Edge]:
+        """The edges on a loose cycle of `length` edges."""
+        if length not in self.cycles:
+            if self.paths is None:
+                self.paths = _loose_two_paths(self.edges, self.incidence()[1])
+            self.cycles[length] = _loose_cycle_edges(self.edges, self.paths, length)
+        return self.cycles[length]
 
 
 def _peel(edges, profiles) -> list[Edge]:
@@ -534,9 +640,14 @@ def _embedding_search(host: Hypergraph, pattern: Hypergraph, mode: str, *,
     that is the induced condition.
 
     The host is first peeled (`_peel`); candidates come from what
-    survives, the strict rule reads every host edge.  Without `forbidden`
-    the peeled edges are kept in `host.peel_memo`, so searches whose
-    patterns have the same minimal profiles peel the host once.
+    survives, the strict rule reads every host edge.  A pattern edge on a
+    loose 3- or 4-cycle only goes to a surviving host edge on a loose
+    cycle of each of its lengths (`_loose_cycle_edges`): an injective map
+    keeps |e & f| for every pair of edges, so it maps such a cycle onto
+    one.  Without `forbidden` the peeled edges, their incidence and their
+    cycle index are kept in `host.peel_memo`, so searches whose patterns
+    have the same minimal profiles peel the host once, and index each
+    length once.
     """
     if pattern.s != host.s:
         raise ValueError("pattern and host must share the same uniformity")
@@ -600,30 +711,41 @@ def _embedding_search(host: Hypergraph, pattern: Hypergraph, mode: str, *,
         return result(finish(0))
     memo = {} if forbidden else host.peel_memo
     if plan.profiles not in memo:
-        memo[plan.profiles] = _peel(clear, plan.profiles)
-    edges = memo[plan.profiles]
+        memo[plan.profiles] = _Peel(_peel(clear, plan.profiles))
+    peel = memo[plan.profiles]
+    edges = peel.edges
     if len(edges) < pattern.e:
         return result(0)
-    deg, inc = _incidence(edges)
+    # domains[k]: the host edges that pattern edges of domain class k can go to
+    domains = [host.edge_set]
+    for lengths in plan.classes:
+        domains.append(set.intersection(*[peel.cycle_edges(length) for length in lengths]))
+        if not domains[-1]:
+            return result(0)
+    deg, inc = peel.incidence()
     # a root image left without edges by peeling offers no candidates
     for w in roots:
         deg.setdefault(w, 0)
         inc.setdefault(w, [])
     # a component's first edge only goes where the host degrees allow it
     starts = {}
-    for i, (_, _, _, prof) in enumerate(plan.steps):
+    for i, (_, _, _, prof, cls) in enumerate(plan.steps):
         if prof is not None:
-            starts[i] = [f for f in edges if all(map(ge, sorted([deg[x] for x in f]), prof))]
-    steps, pat_deg, edge_set = plan.steps, plan.degrees, host.edge_set
+            starts[i] = [f for f in edges if (not cls or f in domains[cls])
+                         and all(map(ge, sorted([deg[x] for x in f]), prof))]
+    steps, pat_deg = plan.steps, plan.degrees
 
     def place(i: int) -> int:
         if i == len(steps):
             return finish(0)
-        known = steps[i][0]
+        known, cls = steps[i][0], steps[i][4]
         if known:
             imgs = [image[x] for x in known]
             anchor = min(imgs, key=deg.__getitem__)
             candidates = [f for f in inc[anchor] if all(w in f for w in imgs)]
+            if cls:
+                domain = domains[cls]
+                candidates = [f for f in candidates if f in domain]
         else:
             imgs = []
             candidates = starts[i]
@@ -647,7 +769,7 @@ def _embedding_search(host: Hypergraph, pattern: Hypergraph, mode: str, *,
                 continue
             image[x] = w
             # pattern edges through x whose vertices have all landed
-            if not all(tuple(sorted(image[y] for y in e)) in edge_set for e in checks):
+            if not all(tuple(sorted(image[y] for y in e)) in domains[c] for e, c in checks):
                 continue
             used.add(w)
             # the step's own edge is complete once its last new vertex lands

@@ -155,6 +155,28 @@ def naive_peel(edges, profiles) -> list:
         kept = survivors
 
 
+def loose_cycle_edges(edges, length: int) -> set:
+    """The edges on a loose cycle of `length` edges, from every ordered
+    tuple of distinct edges: cyclically consecutive edges meet in exactly
+    one vertex, those meeting vertices are all distinct, and every other
+    pair of edges is disjoint."""
+    meet = {(e, f): set(e) & set(f) for e in edges for f in edges}
+    on = set()
+    for cyc in itertools.permutations(edges, length):
+        joints = []
+        ok = True
+        for i, j in itertools.combinations(range(length), 2):
+            common = meet[cyc[i], cyc[j]]
+            if j - i in (1, length - 1):
+                ok = ok and len(common) == 1
+                joints += common
+            else:
+                ok = ok and not common
+        if ok and len(set(joints)) == length:
+            on.update(cyc)
+    return on
+
+
 def copy_count_moments(pattern: Hypergraph, n: int, p):
     """Exact (mean, variance) of the number of copies of `pattern` (no
     isolated vertices) in G^s(n, p); exact in Fractions when p is one.

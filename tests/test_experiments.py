@@ -30,7 +30,7 @@ from hyperspectra.experiments import (
 )
 from hyperspectra.extensions import RootedPair
 from hyperspectra.hypergraph import Hypergraph, contains_copy, count_copies
-from hyperspectra.sampling import ModelParams, sample
+from hyperspectra.sampling import ModelParams, sample, sample_coupled
 
 import oracles
 
@@ -637,6 +637,66 @@ class TestPersistence:
         path.write_text("digest: abc\n")
         with pytest.raises(ValueError, match="bad.jsonl.*not JSON"):
             load_jsonl(path)
+
+    # one line of a record file malformed in each way load_jsonl must name
+    HEADER = json.dumps({"schema": "hyperspectra.trials.v1", "digest": "x"})
+    RECORD = json.dumps({"n": 20, "p": 0.5, "trial_index": 0, "outcome": True})
+
+    def test_jsonl_header_not_object_names_path(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("[1]\n" + self.RECORD + "\n")
+        with pytest.raises(ValueError, match="bad.jsonl: header line is not a JSON object"):
+            load_jsonl(path)
+
+    def test_jsonl_record_not_json_names_path_and_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        # a blank line still counts toward the line number
+        path.write_text(f"{self.HEADER}\n{self.RECORD}\n\n{{oops\n")
+        with pytest.raises(ValueError, match="bad.jsonl: line 4 is not JSON"):
+            load_jsonl(path)
+
+    def test_jsonl_record_not_object_names_path_and_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f"{self.HEADER}\n[1]\n")
+        with pytest.raises(ValueError, match="bad.jsonl: line 2 is not a JSON object"):
+            load_jsonl(path)
+
+    def test_jsonl_record_missing_field_names_path_and_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        record = json.loads(self.RECORD)
+        del record["p"]
+        path.write_text(f"{self.HEADER}\n{self.RECORD}\n{json.dumps(record)}\n")
+        with pytest.raises(ValueError, match="bad.jsonl: line 3 lacks field 'p'"):
+            load_jsonl(path)
+
+    @pytest.mark.parametrize("header, problem", [("digest: abc", "is not JSON"),
+                                                 ("[1]", "is not a JSON object")])
+    def test_jsonl_append_to_malformed_header_names_path(self, tmp_path, header, problem):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError, match=f"bad.jsonl: header line {problem}"):
+            save_jsonl(path, self.cfg(), self.RECORDS, append=True)
+        assert path.read_text() == header + "\n"
+
+    def test_append_refused_before_any_draw(self, tmp_path, monkeypatch):
+        path = tmp_path / "trials.jsonl"
+        estimate_probability(pattern_cfg(LOOSE_PATH, 25, 5, 8, alpha=Fraction(5, 2),
+                                         out_path=str(path)))
+        before = path.read_text()
+        draws = []
+        monkeypatch.setattr(experiments, "sample_coupled",
+                            lambda *args: draws.append(args) or sample_coupled(*args))
+        other = pattern_cfg(LOOSE_PATH, 25, 6, 8, alpha=Fraction(5, 2), out_path=str(path))
+        with pytest.raises(ValueError, match="trials.jsonl: holds records of digest"):
+            estimate_probability(other)
+        assert not draws and path.read_text() == before
+        # the same config still appends, and an empty file takes any config
+        estimate_probability(pattern_cfg(LOOSE_PATH, 25, 5, 8, alpha=Fraction(5, 2),
+                                         out_path=str(path)))
+        assert len(draws) == 5
+        path.write_text("")
+        estimate_probability(other)
+        assert len(draws) == 11 and len(load_jsonl(path)[1]) == 6
 
     def test_rerun_appends_identical_outcomes(self, tmp_path):
         path = tmp_path / "trials.jsonl"

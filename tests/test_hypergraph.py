@@ -1,12 +1,14 @@
 """Core type: densities, balance, copies, automorphisms, distances."""
 
 import collections
+import contextlib
 import hashlib
 import itertools
 import json
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -29,7 +31,7 @@ from hyperspectra.hypergraph import (
     max_density,
 )
 from hyperspectra import hypergraph
-from hyperspectra.extensions import RootedPair, _strict_search
+from hyperspectra.extensions import RootedPair, _strict_search, strict_extensions
 from hyperspectra.experiments import count_unextendable_copies
 from hyperspectra.sampling import ModelParams, sample
 from hyperspectra.hypergraph import (_GROUP_BOUND, _complement, _embedding_search, _peel,
@@ -676,6 +678,256 @@ class TestSymmetryBreaking:
         runs = _collect_runs()
         assert all(runs[-2:]) and sum(map(len, runs)) > 1000
         assert hashlib.sha256(repr(runs).encode()).hexdigest() == COLLECT_DIGEST
+
+
+def loose_cycle(s, length, rng=None, n=0):
+    """Edges of a loose cycle of `length` edges at uniformity s: on
+    0..length*(s-1)-1 in order, or on random vertices of range(n)."""
+    size = length * (s - 1)
+    pool = rng.sample(range(n), size) if rng else list(range(size))
+    joints, rest = pool[:length], iter(pool[length:])
+    return [tuple(sorted((joints[i], joints[(i + 1) % length],
+                          *(next(rest) for _ in range(s - 2)))))
+            for i in range(length)]
+
+
+# patterns whose edges lie on loose 3- or 4-cycles, on at most 8 vertices
+CYCLIC = {
+    "K3": SYMMETRIC["K3"],
+    "C4": SYMMETRIC["C4"],
+    "loose C3": loose_cycle3(3),
+    "loose C4": loose_cycle3(4),
+    # every edge on a triangle and on a 4-cycle: domain class (3, 4)
+    "K4": complete(2, 4),
+    # domain classes (3,) and (4,), and a bridge with no domain
+    "triangle-square": MULTI_CYCLE["triangle-square"],
+}
+
+# rooted pairs whose added part holds loose cycles
+CYCLIC_PAIRS = {
+    "K4 over an edge": RootedPair(complete(2, 4), 2, [(0, 1)]),
+    "C4 at a vertex": RootedPair(SYMMETRIC["C4"], 1),
+    "loose C3 at a vertex": RootedPair(loose_cycle3(3), 1),
+}
+
+
+@contextlib.contextmanager
+def _without_domains():
+    """Searches planned with no cycle lengths: no edge gets a domain."""
+    saved = hypergraph._CYCLE_LENGTHS
+    hypergraph._CYCLE_LENGTHS = ()
+    _search_plan.cache_clear()
+    _symmetry.cache_clear()
+    try:
+        yield
+    finally:
+        hypergraph._CYCLE_LENGTHS = saved
+        _search_plan.cache_clear()
+        _symmetry.cache_clear()
+
+
+def _edge_classes(plan) -> dict:
+    """Each pattern edge's domain class, read off the plan's steps."""
+    classes = {}
+    for known, new, checks, _, cls in plan.steps:
+        classes[tuple(sorted(known + new))] = cls
+        for step_checks in checks:
+            classes.update(step_checks)
+    return classes
+
+
+def _domain_cut(host, pat, roots=0) -> bool:
+    """Did a search of pat on host index the peeled edges and find some
+    of them on no loose cycle of a length the pattern needs?"""
+    peel = host.peel_memo[_search_plan(pat, roots).profiles]
+    return any(len(on) < len(peel.edges) for on in peel.cycles.values())
+
+
+def _cycle_index(host, length) -> set:
+    """The host's edges on a loose cycle of `length` edges, as the search
+    indexes them."""
+    return hypergraph._Peel(list(host.edges)).cycle_edges(length)
+
+
+def _matcher_calls(run) -> collections.Counter:
+    """Calls of each function of the hypergraph module while run() runs."""
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == hypergraph.__file__:
+            calls[frame.f_code.co_name] += 1
+
+    saved = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        calls["result"] = run()
+    finally:
+        sys.setprofile(saved)
+    return calls
+
+
+class TestCycleDomains:
+    """A pattern edge on a loose 3- or 4-cycle only goes to a host edge on
+    a loose cycle of each of its lengths; no answer and no collect order
+    may move."""
+
+    def test_plan_classes(self):
+        assert _search_plan(CYCLIC["K3"]).classes == ((3,),)
+        assert _search_plan(CYCLIC["C4"]).classes == ((4,),)
+        assert _search_plan(CYCLIC["loose C4"]).classes == ((4,),)
+        assert _search_plan(CYCLIC["K4"]).classes == ((3, 4),)
+        plan = _search_plan(build_two_cycle_witness(3, 2, 1, 1))
+        assert plan.classes == ((3,), (4,))
+        # 3 edges on the odd cycle, 4 on the even one, and the bridge
+        assert sorted(collections.Counter(_edge_classes(plan).values()).items()) == (
+            [(0, 1), (1, 3), (2, 4)])
+        # over the edge 01, the edge 23 of K4 lies on triangles only
+        pair = CYCLIC_PAIRS["K4 over an edge"]
+        assert _search_plan(_added_pattern(pair), 2).classes == ((3,), (3, 4))
+        # sweep's loose 2-path and exact's unextendable pair skip it all
+        for pat in (Hypergraph(3, 5, [(0, 1, 2), (2, 3, 4)]),
+                    Hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)])):
+            assert not _search_plan(pat).classes
+
+    def test_index_matches_oracle(self):
+        rng = random.Random(2010)
+        found = collections.Counter()
+        for i in range(540):
+            s, length = (2, 3, 4)[i % 3], rng.choice((3, 4))
+            # every other host gets a planted loose cycle
+            n = rng.randint(length * (s - 1), length * (s - 1) + 2) if i % 2 else (
+                rng.randint(s + 2, 4 * (s - 1) + 2))
+            space = list(itertools.combinations(range(n), s))
+            edges = set(rng.sample(space, min(len(space), rng.randint(2, 7))))
+            if i % 2:
+                edges.update(loose_cycle(s, length, rng, n))
+            host = Hypergraph(s, n, edges)
+            for length in (3, 4):
+                want = oracles.loose_cycle_edges(host.edges, length)
+                assert _cycle_index(host, length) == want
+                found[s, length, bool(want)] += 1
+        for s in (2, 3, 4):
+            for length in (3, 4):
+                assert min(found[s, length, False], found[s, length, True]) >= 20, found
+
+    @pytest.mark.parametrize("s, edges, want3, want4", [
+        # three edges through one vertex: their meeting vertices coincide
+        (2, [(0, 1), (0, 2), (0, 3)], set(), set()),
+        (3, [(0, 1, 2), (0, 3, 4), (0, 5, 6)], set(), set()),
+        # two edges that share two vertices, closed up by other edges
+        (3, [(0, 1, 2), (0, 1, 3), (2, 3, 4)], set(), set()),
+        (4, [(0, 1, 2, 3), (0, 1, 4, 5), (2, 4, 6, 7), (3, 5, 8, 9)], set(), set()),
+        # a 4-cycle with a chord: the chord is on triangles, on no 4-cycle
+        (2, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)],
+         {(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)}, {(0, 1), (1, 2), (2, 3), (0, 3)}),
+        (3, loose_cycle(3, 4) + [(0, 2, 8)],
+         set(loose_cycle(3, 4)) | {(0, 2, 8)}, set(loose_cycle(3, 4))),
+    ])
+    def test_decoys(self, s, edges, want3, want4):
+        host = Hypergraph(s, 1 + max(map(max, edges)), edges)
+        for length, want in ((3, want3), (4, want4)):
+            assert oracles.loose_cycle_edges(host.edges, length) == want
+            assert _cycle_index(host, length) == want
+
+    @pytest.mark.parametrize("name", sorted(CYCLIC))
+    def test_counts_match_bruteforce(self, name):
+        pat = CYCLIC[name]
+        rng = random.Random(name)
+        planted = cut = 0
+        for i in range(12):
+            # brute force walks (n)_v maps: at most (8)_8 = 40,320 per host
+            n = 8 if pat.n > 6 else rng.randint(7, 9)
+            # mean degree near the pattern's largest: the peel keeps
+            # edges on no short cycle
+            top = max(map(pat.degree, range(pat.n)))
+            p = rng.uniform(top - 0.5, top + 1.5) / math.comb(n - 1, pat.s - 1)
+            host = planted_host(rng, pat, n, p) if i % 2 else (
+                oracles.random_hypergraph(rng, pat.s, n, p))
+            for forbidden in ((), (rng.randrange(n),)):
+                rest = host.induced([w for w in range(n) if w not in forbidden])
+                want = (oracles.brute_embedding_count(rest, pat),
+                        oracles.brute_induced_embedding_count(rest, pat))
+                for strict in (False, True):
+                    kw = {"strict": strict, "forbidden": forbidden}
+                    assert _embedding_search(host, pat, "count", **kw) == want[strict]
+                    assert _embedding_search(host, pat, "exists", **kw) == min(want[strict], 1)
+                    assert len(_embedding_search(host, pat, "collect", **kw)) == want[strict]
+            planted += count_embeddings(host, pat) > 0
+            cut += _domain_cut(host, pat)
+        assert planted >= 6 and cut >= 2
+
+    @pytest.mark.parametrize("name", sorted(CYCLIC_PAIRS))
+    def test_rooted_counts_match_bruteforce(self, name):
+        pair = CYCLIC_PAIRS[name]
+        pat = _added_pattern(pair)
+        assert _search_plan(pat, pair.roots).classes
+        rng = random.Random(name)
+        extended = cut = 0
+        for _ in range(4):
+            host = planted_host(rng, pair.g, 8, rng.uniform(1.5, 3) / math.comb(7, pair.g.s - 1))
+            for roots in rng.sample(list(itertools.permutations(range(8), pair.roots)), 4):
+                for forbidden in ((), (rng.choice([w for w in range(8) if w not in roots]),)):
+                    kw = {"roots": roots, "forbidden": forbidden}
+                    placements = oracles.brute_strict_extensions(host, roots, pair, forbidden)
+                    extended += bool(placements)
+                    assert strict_extensions(host, roots, pair, forbidden=forbidden) == placements
+                    assert _embedding_search(host, pat, "count", strict=True, **kw) == (
+                        len(placements))
+                    assert _strict_search(host, roots, pair, "exists", forbidden=forbidden) == (
+                        min(len(placements), 1))
+                    assert _embedding_search(host, pat, "count", **kw) == (
+                        _brute_rooted_count(host, roots, pair, forbidden))
+                cut += _domain_cut(host, pat, pair.roots)
+        assert extended and cut
+
+    def test_witness_matches_unfiltered_search(self):
+        # gate 3's witness has 15 vertices, past the brute-force scans: the
+        # same search without domains is the reference, collect order included
+        w = build_two_cycle_witness(3, 2, 1, 1)
+        rng = random.Random(1515)
+        runs = []
+        for i in range(6):
+            n = rng.randint(18, 24)
+            hosts = [planted_host(rng, w, n, 1.2 / math.comb(n - 1, 2)) if i % 2 else
+                     oracles.random_hypergraph(rng, 3, n, 2.5 / math.comb(n - 1, 2))]
+            hosts.append(Hypergraph(3, n, hosts[0].edges + tuple(loose_cycle(3, 4, rng, n))))
+            for host in hosts:
+                forbidden = (rng.randrange(n),)
+                for kw in ({}, {"strict": True}, {"forbidden": forbidden},
+                           {"strict": True, "forbidden": forbidden}):
+                    runs.append((host, kw, [_embedding_search(host, w, mode, **kw)
+                                            for mode in ("count", "exists", "collect")]))
+        cut = sum(_domain_cut(host, w) for host, kw, _ in runs if not kw)
+        with _without_domains():
+            for host, kw, got in runs:
+                fresh = Hypergraph(3, host.n, host.edges)
+                assert got == [_embedding_search(fresh, w, mode, **kw)
+                               for mode in ("count", "exists", "collect")]
+        assert sum(bool(got[0]) for _, _, got in runs) >= 4 and cut >= 4
+
+    def test_filter_fires_before_backtracking(self):
+        # the 2-core is one 5-cycle: no triangle and no 4-cycle
+        five = [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+        host = Hypergraph(2, 9, five + [(0, 5), (5, 6), (2, 7), (7, 8)])
+        k3, c4 = CYCLIC["K3"], CYCLIC["C4"]
+        automorphism_count(k3)  # plans and groups are cached once per pattern
+        calls = _matcher_calls(lambda: count_embeddings(host, k3))
+        assert calls["result"] == 0 and calls["_loose_two_paths"] == 1
+        assert "place" not in calls and "assign" not in calls
+        # K3 and C4 share the host's one peel and 2-path table; C4 indexes
+        # its own length once
+        automorphism_count(c4)
+        calls = _matcher_calls(lambda: count_embeddings(host, c4))
+        assert calls["result"] == 0 and calls["_loose_cycle_edges"] == 1
+        assert "_loose_two_paths" not in calls and "_peel" not in calls
+        assert "place" not in calls and count_embeddings(host, k3) == 0
+        assert list(host.peel_memo) == [((2, 2),)]
+        peel = host.peel_memo[(2, 2),]
+        assert peel.edges == five and peel.cycles == {3: set(), 4: set()}
+        # with a chord the same search backtracks and finds the triangle
+        chorded = Hypergraph(2, 9, host.edges + ((0, 2),))
+        calls = _matcher_calls(lambda: count_embeddings(chorded, k3))
+        assert calls["result"] == 6 and calls["place"] and calls["assign"]
 
 
 class TestDistance:

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from hyperspectra import experiments
 from hyperspectra.experiments import load_csv, load_jsonl
+from hyperspectra.sampling import sample_coupled
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -60,6 +62,22 @@ def test_window_scan(capsys, tmp_path):
         assert header["config"]["n_list"] == [n]
         assert [r.trial_index for r in records] == list(range(5))
         assert all(r.alpha == Fraction(15, 8) and not r.budget_exceeded for r in records)
+
+
+def test_window_scan_refuses_other_config_before_sampling(capsys, tmp_path, monkeypatch):
+    out = tmp_path / "trials.jsonl"
+    script = load("window_scan")
+    assert script.main(["--n", "20", "--trials", "5", "--out", str(out)]) == 0
+    before = (tmp_path / "trials-n20.jsonl").read_text()
+    draws = []
+    monkeypatch.setattr(experiments, "sample_coupled",
+                        lambda *args: draws.append(args) or sample_coupled(*args))
+    capsys.readouterr()
+    assert script.main(["--n", "20", "--trials", "6", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "trials-n20.jsonl: holds records of digest" in err
+    assert "Traceback" not in err
+    assert not draws and (tmp_path / "trials-n20.jsonl").read_text() == before
 
 
 @pytest.mark.parametrize("name, argv", [

@@ -314,7 +314,8 @@ def cmd_count_copies(args):
     pattern = load_hypergraph(args.pattern)
     emb = count_embeddings(host, pattern, cap=args.budget, induced=args.induced)
     aut = automorphism_count(pattern, cap=args.budget)
-    assert emb % aut == 0, "embedding count must be divisible by automorphisms"
+    if emb % aut:
+        raise AssertionError("embedding count must be divisible by automorphisms")
     return {"schema": "hyperspectra.count-copies.v1", "embeddings": emb,
             "copies": emb // aut, "automorphisms": aut, "induced": args.induced}, None
 

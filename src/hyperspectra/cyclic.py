@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotInFamily, NoWitness, check_cap, enum_cap, DEFAULT_DECOMP_CAP
+from .errors import NotInFamily, NoWitness, check_cap, DEFAULT_DECOMP_CAP
 from .hypergraph import Edge, Hypergraph, max_density, max_density_below
 
 State = tuple[frozenset[int], frozenset[Edge]]
@@ -124,52 +124,6 @@ def extension_moves(s: int, edges: set[Edge], state: State, m: int):
                         seen.add(key)
                         yield ExtensionMove(case, new_vs, new_es)
                     break  # any admissible tip certifies this closing edge
-
-
-def _as_abstract(s: int, vertices: frozenset[int], edges: frozenset[Edge]) -> Hypergraph:
-    order = sorted(vertices)
-    pos = {x: i for i, x in enumerate(order)}
-    return Hypergraph(s, len(order), [tuple(pos[x] for x in e) for e in edges])
-
-
-def is_cyclic_m_extension(g: Hypergraph, h_vertices, h_edges, m: int) -> bool:
-    """Does g arise from its sub-part (h_vertices, h_edges) by one step?"""
-    h_vs = frozenset(h_vertices)
-    h_es = frozenset(tuple(sorted(e)) for e in h_edges)
-    if not h_vs <= set(range(g.n)):
-        raise ValueError("base vertices must live inside g")
-    for e in h_es:
-        if e not in g.edge_set:
-            raise ValueError(f"base edge {e} is not an edge of g")
-        if not set(e) <= h_vs:
-            raise ValueError(f"base edge {e} leaves the base vertex set")
-    new_vs = frozenset(range(g.n)) - h_vs
-    new_es = frozenset(g.edges) - h_es
-    if not max_density_below(g, density_bound(g.s, m)):
-        return False
-    for move in extension_moves(g.s, set(g.edges), (h_vs, h_es), m):
-        if frozenset(move.new_vertices) == new_vs and frozenset(move.new_edges) == new_es:
-            return True
-    return False
-
-
-def find_cyclic_m_extensions(host: Hypergraph, h_vertices, h_edges, m: int,
-                             budget_vertices: int | None = None) -> list[ExtensionMove]:
-    """All one-step extensions of the embedded base inside the host."""
-    h_vs = frozenset(h_vertices)
-    h_es = frozenset(tuple(sorted(e)) for e in h_edges)
-    cap = enum_cap(DEFAULT_DECOMP_CAP, budget_vertices)
-    bound = density_bound(host.s, m)
-    found = []
-    for move in extension_moves(host.s, set(host.edges), (h_vs, h_es), m):
-        if len(h_vs) + len(move.new_vertices) > cap:
-            continue
-        grown = _as_abstract(host.s, h_vs | set(move.new_vertices),
-                             h_es | set(move.new_edges))
-        if max_density_below(grown, bound):
-            found.append(move)
-    found.sort(key=lambda mv: (mv.case, mv.new_edges))
-    return found
 
 
 def m_decomposition(g: Hypergraph, m: int,

@@ -242,7 +242,8 @@ def max_density(g: Hypergraph) -> tuple[Fraction, tuple[int, ...]]:
         side = net.reachable(0)
         w = tuple(x for x in range(g.n) if 2 + g.e + x in side)
         got = Fraction(g.edges_inside(w), len(w))
-        assert got > best, "min-cut oracle returned a non-improving subset"
+        if got <= best:
+            raise AssertionError("min-cut oracle returned a non-improving subset")
         best, witness = got, w
 
 
@@ -567,11 +568,19 @@ def _peel(edges, profiles) -> list[Edge]:
     low - 1, so at most once.  If every profile entry equals `low`, that
     core is the fixed point.  At `low` = 1 nothing is queued, so the pass
     is skipped.
+
+    When `low` >= 2, a host with no Berge cycle (`_berge_acyclic`) keeps
+    no edge, for any s, and the peel returns before it builds the
+    incidence: the host's vertex-edge incidence graph is a forest, so it
+    and each of its subsets have a vertex of degree 1.  At `low` = 1 a
+    forest can keep edges, so the test is not made.
     """
-    deg, inc = _incidence(edges)
     # the test only sees min(degree, top): higher degrees need no recheck
     top = max(max(p) for p in profiles)
     low = min(p[0] for p in profiles)
+    if low >= 2 and _berge_acyclic(edges):
+        return []
+    deg, inc = _incidence(edges)
     alive = set(edges)
     if low >= 2:
         queue = [x for x, d in deg.items() if d < low]
@@ -602,6 +611,24 @@ def _peel(edges, profiles) -> list[Edge]:
                 if deg[x] < top:
                     stack += inc[x]
     return [f for f in edges if f in alive]
+
+
+def _berge_acyclic(edges) -> bool:
+    """True iff no Berge cycle: no edge meets one union-find component of
+    the edges before it twice (Tarjan 1975).  Stops at the first that does."""
+    parent: dict[int, int] = {}
+    for f in edges:
+        it = iter(f)
+        r = next(it)
+        while r in parent:
+            r = parent[r]
+        for x in it:
+            while x in parent:
+                x = parent[x]
+            if x == r:
+                return False
+            parent[x] = r
+    return True
 
 
 def _incidence(edges) -> tuple[dict[int, int], dict[int, list[Edge]]]:
@@ -799,7 +826,8 @@ def count_copies(host: Hypergraph, pattern: Hypergraph, cap: int | None = None,
     """
     emb = count_embeddings(host, pattern, cap=cap, induced=induced)
     aut = automorphism_count(pattern, cap=cap)
-    assert emb % aut == 0, "embedding count must be divisible by automorphisms"
+    if emb % aut:
+        raise AssertionError("embedding count must be divisible by automorphisms")
     return emb // aut
 
 

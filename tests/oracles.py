@@ -140,6 +140,23 @@ def random_hypergraph(rng, s: int, n: int, p: float) -> Hypergraph:
     return Hypergraph(s, n, edges)
 
 
+def random_hyperforest(rng, s: int, n: int, m: int) -> list:
+    """Up to m edges on range(n), with no Berge cycle: each edge takes its
+    s vertices from s distinct components of the edges before it, and
+    joins them.  Stops early when fewer than s components are left."""
+    comp = list(range(n))
+    edges = []
+    for _ in range(m):
+        labels = sorted(set(comp))
+        if len(labels) < s:
+            break
+        joined = rng.sample(labels, s)
+        edges.append(tuple(sorted(rng.choice([x for x in range(n) if comp[x] == label])
+                                  for label in joined)))
+        comp = [joined[0] if c in joined else c for c in comp]
+    return edges
+
+
 def naive_peel(edges, profiles) -> list:
     """The edges `hypergraph._peel` keeps, by whole rounds: recount every
     degree, drop each edge whose sorted degrees dominate no profile
@@ -153,6 +170,31 @@ def naive_peel(edges, profiles) -> list:
         if len(survivors) == len(kept):
             return kept
         kept = survivors
+
+
+def has_berge_cycle(edges) -> bool:
+    """True iff the bipartite vertex-edge incidence graph holds a cycle,
+    that is, has more links than nodes minus components (each component
+    found by a full flood fill)."""
+    adj = {("edge", i): {("vertex", x) for x in f} for i, f in enumerate(edges)}
+    for i, f in enumerate(edges):
+        for x in f:
+            adj.setdefault(("vertex", x), set()).add(("edge", i))
+    links = sum(len(f) for f in edges)
+    components = 0
+    seen = set()
+    for start in adj:
+        if start in seen:
+            continue
+        components += 1
+        todo = [start]
+        seen.add(start)
+        while todo:
+            for other in adj[todo.pop()]:
+                if other not in seen:
+                    seen.add(other)
+                    todo.append(other)
+    return links > len(adj) - components
 
 
 def loose_cycle_edges(edges, length: int) -> set:

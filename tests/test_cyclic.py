@@ -11,16 +11,12 @@ import pytest
 from hyperspectra import cyclic
 from hyperspectra.cyclic import (
     density_bound,
-    extension_moves,
-    find_cyclic_m_extensions,
-    is_cyclic_m_extension,
     m_decomposition,
     random_family_member,
 )
 from hyperspectra.errors import CapExceeded, NotInFamily
 from hyperspectra.hypergraph import Hypergraph, max_density
 
-import oracles
 
 # loose 3-cycle whose vertex 0 is interior to one edge: a closed path
 # grown out of 0 never returns to 0 itself, it closes onto the path
@@ -37,83 +33,6 @@ def test_density_bound_values():
     for s, m in ((3, 0), (2, 1), (2, 0), (3, -1), (1, 5)):
         with pytest.raises(ValueError, match=r"m\(s-1\) >= 2"):
             density_bound(s, m)
-
-
-class TestOneStep:
-    def test_loose_cycle_from_one_vertex(self):
-        g = Hypergraph(3, 6, CYCLE3)
-        assert is_cyclic_m_extension(g, {0}, (), 3)
-        assert is_cyclic_m_extension(g, {0}, (), 5)
-        # chains of 2 fresh edges plus a closing edge need m >= 3
-        assert not is_cyclic_m_extension(g, {0}, (), 2)
-
-    def test_single_edge_between_two_roots(self):
-        g = Hypergraph(3, 3, [(0, 1, 2)])
-        assert is_cyclic_m_extension(g, {0, 1}, (), 1)
-        assert is_cyclic_m_extension(g, {0, 1}, (), 4)
-
-    def test_path_between_two_roots(self):
-        # two edges sharing one interior vertex, ends at the two roots
-        g = Hypergraph(3, 5, [(0, 2, 3), (1, 3, 4)])
-        assert is_cyclic_m_extension(g, {0, 1}, (), 2)
-
-    def test_density_violation(self):
-        dense = Hypergraph(3, 4, list(itertools.combinations(range(4), 3)))
-        assert max_density(dense)[0] == 1
-        assert not is_cyclic_m_extension(dense, {0}, (), 3)
-
-    def test_base_validation(self):
-        g = Hypergraph(3, 3, [(0, 1, 2)])
-        with pytest.raises(ValueError):
-            is_cyclic_m_extension(g, {0, 9}, (), 2)
-        with pytest.raises(ValueError):
-            is_cyclic_m_extension(g, {0, 1}, [(0, 1, 2)], 2)  # edge leaves base
-
-
-class TestFindExtensions:
-    def test_enumerates_inside_host(self):
-        host = Hypergraph(3, 6, CYCLE3)
-        moves = find_cyclic_m_extensions(host, {0}, (), 3)
-        assert any(set(mv.new_edges) == set(host.edges) for mv in moves)
-
-    def test_respects_vertex_budget(self):
-        host = Hypergraph(3, 6, CYCLE3)
-        assert find_cyclic_m_extensions(host, {0}, (), 3, budget_vertices=3) == []
-
-    def test_sorted_deterministic(self):
-        host = Hypergraph(3, 7, CYCLE3 + [(0, 5, 6)])
-        a = find_cyclic_m_extensions(host, {0, 5}, (), 3)
-        b = find_cyclic_m_extensions(host, {0, 5}, (), 3)
-        assert a == b == sorted(a, key=lambda mv: (mv.case, mv.new_edges))
-        assert any(mv.case == 3 for mv in a)  # the (0,5,6) edge itself
-
-    def test_matches_brute_filter(self):
-        """On random small hosts, the kept moves are the proposed ones whose
-        grown part is below the bound by exhaustive search; the counts
-        reject some of the others and a flow the rest."""
-        rng = random.Random(59)
-        verdicts = {"kept": 0, "counts": 0, "flow": 0}
-        for _ in range(40):
-            s = rng.choice((2, 3))
-            m = rng.randint(2, 4)
-            host = oracles.random_hypergraph(rng, s, rng.randint(s + 1, 8), rng.uniform(0.15, 0.4))
-            h_vs = frozenset(rng.sample(range(host.n), rng.randint(1, 3)))
-            h_es = frozenset(e for e in host.edges if h_vs.issuperset(e))
-            bound = density_bound(s, m)
-            want = []
-            for move in extension_moves(s, set(host.edges), (h_vs, h_es), m):
-                grown = cyclic._as_abstract(s, h_vs | set(move.new_vertices),
-                                            h_es | set(move.new_edges))
-                if oracles.brute_max_density(grown) < bound:
-                    want.append(move)
-                    verdicts["kept"] += 1
-                elif Fraction(grown.e, grown.n) >= bound:
-                    verdicts["counts"] += 1
-                else:
-                    verdicts["flow"] += 1
-            want.sort(key=lambda mv: (mv.case, mv.new_edges))
-            assert find_cyclic_m_extensions(host, h_vs, h_es, m) == want
-        assert min(verdicts.values()) >= 10, verdicts
 
 
 class TestDecomposition:

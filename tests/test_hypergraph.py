@@ -7,7 +7,9 @@ import itertools
 import json
 import math
 import operator
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from math import factorial
@@ -247,6 +249,23 @@ class TestCopies:
             assert contains_copy(host, pat) == (
                 oracles.brute_embedding_count(host, pat) > 0)
 
+    def test_divisibility_checked_under_optimize(self):
+        # `python -O` strips assert statements; this check must survive it.
+        # The script's own assert fails unless -O is in effect.
+        code = ("import hyperspectra.hypergraph as h\n"
+                "assert False, 'asserts run'\n"
+                "h.automorphism_count = lambda g, cap=None: 7\n"
+                "k3 = h.Hypergraph(2, 3, [(0, 1), (1, 2), (0, 2)])\n"
+                "h.count_copies(k3, k3)\n")
+        src = os.path.dirname(os.path.dirname(hypergraph.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.strip().endswith(
+            "AssertionError: embedding count must be divisible by automorphisms")
+
 
 class TestSparseHosts:
     """Hosts sparse enough that peeling removes edges, against brute force."""
@@ -421,14 +440,20 @@ class TestPeel:
 
     @staticmethod
     def hosts(rng, s, count, top):
-        """Shuffled edge lists of random s-graphs whose mean degree lies
-        between 0.5 and top + 2."""
-        for _ in range(count):
+        """Shuffled edge lists of `count` random s-graphs whose mean degree
+        lies between 0.5 and top + 2, and after every second one a random
+        hyperforest.  The forests come from their own generator, so the
+        s-graphs drawn from rng do not depend on them."""
+        forests = random.Random(f"forests {s} {top}")
+        for i in range(count):
             n = rng.randint(s + 2, 16)
             p = rng.uniform(0.5, top + 2) / math.comb(n - 1, s - 1)
             edges = list(oracles.random_hypergraph(rng, s, n, p).edges)
             rng.shuffle(edges)
             yield edges
+            if i % 2:
+                n = forests.randint(s + 2, 16)
+                yield oracles.random_hyperforest(forests, s, n, forests.randint(1, n))
 
     @pytest.mark.parametrize("s", [2, 3, 4])
     def test_matches_naive_fixed_point(self, s):
@@ -444,10 +469,12 @@ class TestPeel:
 
     @pytest.mark.parametrize("s", [2, 3, 4])
     def test_vertex_pass_reads_each_vertex_once(self, s, monkeypatch):
-        # With every profile entry equal, the vertex pass is the whole peel:
-        # it reads the edges of exactly the vertices that lose all theirs,
-        # each once.
+        # With every profile entry equal, the vertex pass is the whole peel.
+        # A host with no Berge cycle never builds an incidence.  On any
+        # other host the pass reads the edges of exactly the vertices that
+        # lose all theirs, each once.
         reads = collections.Counter()
+        built = []
 
         class Counted(dict):
             def __getitem__(self, x):
@@ -455,6 +482,7 @@ class TestPeel:
                 return dict.__getitem__(self, x)
 
         def counted_incidence(edges):
+            built.append(edges)
             deg, inc = incidence(edges)
             return deg, Counted(inc)
 
@@ -462,14 +490,20 @@ class TestPeel:
         monkeypatch.setattr(hypergraph, "_incidence", counted_incidence)
         rng = random.Random(95 + s)
         for low in (2, 3):
-            partial = 0
+            partial = acyclic = 0
             for edges in self.hosts(rng, s, 30, low):
                 reads.clear()
+                built.clear()
                 kept = _peel(edges, ((low,) * s,))
                 assert kept == oracles.naive_peel(edges, ((low,) * s,))
+                if not oracles.has_berge_cycle(edges):
+                    assert not built and kept == []
+                    acyclic += 1
+                    continue
                 assert set(reads.values()) <= {1}
                 assert set(reads) == set().union(*edges) - set().union(*kept)
                 partial += 0 < len(kept) < len(edges)
+            assert acyclic >= 5
             assert partial >= 3
 
     def test_sparse_graphs_at_the_triangle_profile(self):
@@ -483,6 +517,77 @@ class TestPeel:
             assert kept == oracles.naive_peel(host.edges, profiles)
             cores += bool(kept)
         assert cores >= 2
+
+
+class TestBergeExit:
+    """`_berge_acyclic` finds a Berge cycle exactly when
+    `oracles.has_berge_cycle` does, and `_peel`, which exits on it, keeps
+    what `oracles.naive_peel` keeps."""
+
+    @staticmethod
+    def hosts(s):
+        """Shuffled edge lists: random hyperforests, the same with one
+        planted loose cycle, and random s-graphs."""
+        rng = random.Random(60 + s)
+        for _ in range(40):
+            n = rng.randint(4 * (s - 1), 18)
+            forest = oracles.random_hyperforest(rng, s, n, rng.randint(1, n))
+            cycle = loose_cycle(s, rng.randint(3, 4), rng, n)
+            p = rng.uniform(0.5, 3) / math.comb(n - 1, s - 1)
+            for edges in (forest, list(dict.fromkeys(forest + cycle)),
+                          list(oracles.random_hypergraph(rng, s, n, p).edges)):
+                rng.shuffle(edges)
+                yield edges
+
+    @staticmethod
+    def fixed(s):
+        """(edges, has a cycle) for hosts built to catch an order-dependent
+        union-find."""
+        tree = [tuple(range(i * (s - 1), i * (s - 1) + s)) for i in range(3)]  # a loose path
+        other = [tuple(x + 100 for x in f) for f in tree]
+        joined = (1, 101, *range(200, 200 + s - 2))  # meets each path once
+        cycle = loose_cycle(s, 4)
+        cases = [(tree + other + [joined], False),
+                 # the edge that closes the cycle comes first
+                 (cycle[-1:] + cycle[:-1], True),
+                 (cycle[:-1], False)]
+        if s >= 3:
+            # a Berge 2-cycle: two edges sharing two vertices, no loose cycle
+            cases.append(([tuple(range(s)), (0, 1, *range(s, 2 * s - 2))], True))
+        return cases
+
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_matches_oracle(self, s):
+        kinds = collections.Counter()
+        for edges in self.hosts(s):
+            cyclic = oracles.has_berge_cycle(edges)
+            assert hypergraph._berge_acyclic(edges) == (not cyclic)
+            kinds[cyclic] += 1
+        assert kinds[True] >= 40 and kinds[False] >= 40
+        for edges, cyclic in self.fixed(s):
+            assert oracles.has_berge_cycle(edges) == cyclic
+            assert hypergraph._berge_acyclic(edges) == (not cyclic)
+
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_peel_matches_naive(self, s):
+        hosts = list(self.hosts(s)) + [edges for edges, _ in self.fixed(s)]
+        for profiles in TestPeel.PROFILES[s]:
+            for edges in hosts:
+                assert _peel(edges, profiles) == oracles.naive_peel(edges, profiles)
+
+    def test_forest_host_builds_no_incidence(self):
+        # gate 2's counts on a G(150, 1/150) host with no cycle: one union-find
+        # for K3 and C4 together, and no incidence
+        k3, c4 = SYMMETRIC["K3"], SYMMETRIC["C4"]
+        for pat in (k3, c4):
+            count_copies(pat, pat)  # caches the patterns' symmetry
+        host = next(h for h in (sample(ModelParams(2, 150, p=1 / 150, seed=7, trial_index=i))
+                                for i in range(20))
+                    if h.e and not oracles.has_berge_cycle(h.edges))
+        calls = _matcher_calls(lambda: (count_copies(host, k3), count_copies(host, c4)))
+        assert calls["result"] == (0, 0)
+        assert calls["_berge_acyclic"] == 1
+        assert calls["_incidence"] == 0
 
 
 def planted_host(rng, pat, n, p):

@@ -23,7 +23,6 @@ from .hypergraph import (
     distance,
     from_json,
     from_json_dict,
-    is_isomorphic,
     is_strictly_balanced,
     max_density,
     max_density_below,
@@ -47,10 +46,7 @@ from .extensions import (
     PairClass,
     RootedPair,
     classify_pair,
-    count_maximal_extensions,
-    enumerate_blocking_pairs,
     f_alpha,
-    is_kt_maximal,
     is_strictly_balanced_pair,
     pair_density,
     pair_from_json,
@@ -79,7 +75,6 @@ from .bounds import (
     build_two_cycle_witness,
     dense_witness_size,
     failure_alpha_near_max,
-    graph_law_classification,
     in_exceptional_set,
     law_fails_density,
     law_holds_density,

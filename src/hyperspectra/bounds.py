@@ -277,34 +277,6 @@ def limit_point_family_alpha(s: int, k: int, m: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Graph-case (s = 2) reference classifier for the near-1 window.
-
-def graph_law_classification(alpha, k: int) -> str:
-    """Classify an exponent for random graphs near α = 1.
-
-    Returns "holds", "fails", or "undetermined" (points the statement
-    does not cover).  Writing α = 1 - 1/(2^{k-1} + β): irrational or
-    large-numerator β gives "holds", natural β up to 2^{k-1} - 2 gives
-    "fails", and the two right-endpoint exponents hold by exception.
-    """
-    alpha = _exact(alpha)
-    _require(k > 3, "k must be at least 4")
-    pow_half = 2 ** (k - 1)
-    if alpha in (1 - Fraction(1, 2 ** k), 1 - Fraction(1, 2 ** k - 1)):
-        return "holds"
-    if not 0 < alpha < 1:
-        return "undetermined"
-    beta = 1 / (1 - alpha) - pow_half
-    if beta <= 0:
-        return "undetermined"
-    if beta.denominator == 1 and beta <= pow_half - 2:
-        return "fails"
-    if beta.numerator > pow_half:
-        return "holds"
-    return "undetermined"
-
-
-# ---------------------------------------------------------------------------
 # Poisson rate for copies that extend to no larger copy.
 
 def root_symmetry_counts(pair: RootedPair,

@@ -1,5 +1,5 @@
-"""Rooted-pair calculus: densities, f_alpha classification, strict
-extensions and their maximality filters.
+"""Rooted-pair calculus: densities, f_alpha classification and strict
+extensions.
 
 A RootedPair is a hypergraph G whose first `roots` vertices form the base
 part H.  H's edge set is stored explicitly because the extension
@@ -11,8 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import combinations, permutations
+from functools import cached_property
 
 import numpy as np
 
@@ -253,6 +252,9 @@ def _strict_search(host: Hypergraph, root_tuple, pair: RootedPair, mode: str,
     for x in root_tuple:
         if not 0 <= x < host.n:
             raise ValueError(f"root {x} outside the host")
+    for x in forbidden:
+        if not 0 <= x < host.n:
+            raise ValueError(f"forbidden vertex {x} outside the host")
     check_cap(pair.v_diff, DEFAULT_EXTENSION_CAP, cap, "extension")
 
     pattern = pair.pattern_edges
@@ -264,117 +266,3 @@ def _strict_search(host: Hypergraph, root_tuple, pair: RootedPair, mode: str,
         return _embedding_search(host, Hypergraph(host.s, pair.g.n, pattern), mode,
                                  strict=True, roots=root_tuple, forbidden=forbidden)
     return found if mode == "collect" else len(found)
-
-
-def is_kt_maximal(host: Hypergraph, gtilde_vertices, htilde_vertices,
-                  k_pair: RootedPair, cap: int | None = None) -> bool:
-    """No sub-tuple of the copy admits a further strict K-extension.
-
-    Checks every |V(T)|-subset of the copy's vertices not fully inside
-    the base part.  The candidate extension must live outside the rest of
-    the copy, and no host edge may straddle the new extension vertices
-    and the removed part.
-    """
-    g_set = frozenset(gtilde_vertices)
-    h_set = frozenset(htilde_vertices)
-    if not h_set <= g_set:
-        raise ValueError("base vertices must lie inside the copy")
-    t = k_pair.roots
-    if t > len(g_set):
-        raise ValueError(f"K-pair wants {t} roots, copy has {len(g_set)} vertices")
-    for t_set in combinations(sorted(g_set), t):
-        if set(t_set) <= h_set:
-            continue
-        removed = g_set - set(t_set)
-        for ordering in permutations(t_set):
-            for placement in strict_extensions(host, ordering, k_pair,
-                                               cap=cap, forbidden=removed):
-                if not _straddles(host, set(placement), removed):
-                    return False
-    return True
-
-
-def _straddles(host: Hypergraph, new_vertices: set[int], removed: set[int]) -> bool:
-    """Does some host edge inside new+removed touch both parts?"""
-    if not new_vertices or not removed:
-        return False
-    zone = new_vertices | removed
-    for e in host.edges:
-        if zone.issuperset(e):
-            picked = set(e)
-            if picked & new_vertices and picked & removed:
-                return True
-    return False
-
-
-@lru_cache(maxsize=64)
-def enumerate_blocking_pairs(s: int, alpha: Fraction, t_max: int, r: int,
-                             cap: int | None = None) -> tuple[RootedPair, ...]:
-    """All rigid and neutral pairs adding at most r vertices, up to iso.
-
-    These are the pairs whose further extensions a maximal copy must not
-    admit.  Pairs adding no vertices are omitted: they never have strict
-    extensions, so they block nothing.  Pattern edges inside the root set
-    are omitted for the same reason.  Deduplication is up to relabelings
-    that fix the root set and the added set setwise.
-    """
-    alpha = Fraction(alpha)
-    found: list[RootedPair] = []
-    seen: set[tuple] = set()
-    for t in range(1, t_max + 1):
-        for q in range(1, r + 1):
-            n = t + q
-            candidates = [e for e in combinations(range(n), s) if e[-1] >= t]
-            for picked in _edge_subsets_covering(candidates, range(t, n)):
-                g = Hypergraph(s, n, picked)
-                pair = RootedPair(g, t, ())
-                verdict = classify_pair(pair, alpha, cap=cap)
-                if verdict.kind not in ("rigid", "neutral"):
-                    continue
-                key = _pair_canon(g, t)
-                if key in seen:
-                    continue
-                seen.add(key)
-                found.append(pair)
-    return tuple(found)
-
-
-def _edge_subsets_covering(candidates: list[Edge], must_cover):
-    must = set(must_cover)
-    for k in range(1, len(candidates) + 1):
-        for picked in combinations(candidates, k):
-            covered = set()
-            for e in picked:
-                covered.update(e)
-            if must <= covered:
-                yield picked
-
-
-def _pair_canon(g: Hypergraph, roots: int) -> tuple:
-    added = range(roots, g.n)
-    best = None
-    for rp in permutations(range(roots)):
-        for ap in permutations(added):
-            relabel = {**{i: rp[i] for i in range(roots)},
-                       **{x: ap[i] for i, x in enumerate(added)}}
-            edges = tuple(sorted(tuple(sorted(relabel[x] for x in e)) for e in g.edges))
-            if best is None or edges < best:
-                best = edges
-    return (g.s, g.n, roots, best)
-
-
-def count_maximal_extensions(host: Hypergraph, root_tuple, pair: RootedPair,
-                             r: int, alpha: Fraction, cap: int | None = None) -> int:
-    """Number of strict extensions that stay maximal against every
-    rigid/neutral pair adding at most r vertices."""
-    placements = strict_extensions(host, root_tuple, pair, cap=cap)
-    if r <= 0:
-        return len(placements)
-    blockers = enumerate_blocking_pairs(pair.g.s, Fraction(alpha), pair.g.n, r, cap)
-    root_set = frozenset(root_tuple)
-    total = 0
-    for placement in placements:
-        copy = root_set | set(placement)
-        if all(is_kt_maximal(host, copy, root_set, kp, cap=cap) for kp in blockers):
-            total += 1
-    return total

@@ -839,16 +839,6 @@ def contains_copy(host: Hypergraph, pattern: Hypergraph) -> bool:
     return _embedding_search(host, pattern, "exists") > 0
 
 
-def is_isomorphic(g1: Hypergraph, g2: Hypergraph, cap: int | None = None) -> bool:
-    if g1.s != g2.s or g1.n != g2.n or g1.e != g2.e:
-        return False
-    if sorted(g1.degree(x) for x in range(g1.n)) != sorted(g2.degree(x) for x in range(g2.n)):
-        return False
-    check_cap(g1.n, DEFAULT_ENUM_CAP, cap, "isomorphism search")
-    # injective edge-preserving map with equal edge counts is onto the edges
-    return _embedding_search(g2, g1, "exists") > 0
-
-
 def distance(g: Hypergraph, x: int, y: int) -> int | None:
     """Hop count where one hop is sharing an edge; None when unreachable."""
     for z in (x, y):

@@ -448,27 +448,6 @@ def brute_unextendable_copies(host, pair) -> int:
     return sum(1 for ok in extendable.values() if not ok)
 
 
-def brute_kt_maximal(host, gtilde, htilde, k_pair):
-    """Quantifier-by-quantifier transcription of (K, T)-maximality."""
-    g_set = frozenset(gtilde)
-    h_set = frozenset(htilde)
-    for t_set in itertools.combinations(sorted(g_set), k_pair.roots):
-        if set(t_set) <= h_set:
-            continue
-        removed = g_set - set(t_set)
-        for ordering in itertools.permutations(t_set):
-            for placement in brute_strict_extensions(
-                    host, ordering, k_pair, forbidden=removed):
-                zone = set(placement) | removed
-                straddle = any(
-                    zone.issuperset(e) and set(e) & set(placement)
-                    and set(e) & removed
-                    for e in host.edges)
-                if not straddle:
-                    return False
-    return True
-
-
 def _loose_path_free_components(k: int) -> dict[int, int]:
     """Connected 3-graphs on k labelled vertices in which any two edges share
     0 or 2 vertices, as {edge count: number of labellings}.

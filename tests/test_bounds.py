@@ -14,7 +14,6 @@ from hyperspectra.bounds import (
     build_two_cycle_witness,
     dense_witness_size,
     failure_alpha_near_max,
-    graph_law_classification,
     in_exceptional_set,
     law_fails_density,
     law_holds_density,
@@ -221,21 +220,6 @@ class TestLimitPoints:
             limit_point_family_alpha(3, 5, 0)
         with pytest.raises(ValueError):
             limit_base_size(2, 4)
-
-
-class TestGraphCaseClassifier:
-    def test_examples(self):
-        k = 5  # window base 2^{k-1} = 16
-        assert graph_law_classification(1 - Fraction(1, 17), k) == "fails"
-        assert graph_law_classification(1 - Fraction(1, 32), k) == "holds"
-        assert graph_law_classification(1 - Fraction(1, 31), k) == "holds"
-        assert graph_law_classification(1 - Fraction(1, 33), k) == "holds"
-        assert graph_law_classification(1 - Fraction(2, 33), k) == "undetermined"
-        assert graph_law_classification(Fraction(3, 2), k) == "undetermined"
-
-    def test_rejects_floats(self):
-        with pytest.raises(TypeError):
-            graph_law_classification(0.96875, 5)
 
 
 UNEXT_PAIR = RootedPair(Hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)]), 3, [(0, 1, 2)])

@@ -111,6 +111,11 @@ class TestExitCodes:
             ["eval", "--in", files.edge3, "--formula", "(N x y z)"],
             ["game", "--g1", files.edge3, "--g2", files.triangle, "--k", "2"],
             ["sample", "--s", "3", "--n", "10", "--p", "x/y"],
+            # forbidden vertices outside the host, like roots outside it
+            ["extend", "--in", files.pair, "--host", files.host2, "--roots", "0,1,2",
+             "--forbidden", "99"],
+            ["extend", "--in", files.pair, "--host", files.host2, "--roots", "0,1,2",
+             "--forbidden=-1"],
         ]
         for argv in cases:
             code, out, err = run(argv, capsys)

@@ -1,4 +1,4 @@
-"""Rooted pairs: densities, alpha classification, strict extensions, N^r."""
+"""Rooted pairs: densities, alpha classification, strict extensions, N^0."""
 
 import itertools
 import json
@@ -14,9 +14,7 @@ from hyperspectra.extensions import (
     PairClass,
     RootedPair,
     classify_pair,
-    count_maximal_extensions,
     f_alpha,
-    is_kt_maximal,
     is_strictly_balanced_pair,
     pair_density,
     pair_from_json,
@@ -331,6 +329,14 @@ class TestStrictExtensions:
                                 forbidden={2, 3})
         assert got == [(4,)]
 
+    def test_forbidden_vertex_outside_host(self):
+        for x in (5, 99, -1):
+            with pytest.raises(ValueError, match=f"forbidden vertex {x} outside the host"):
+                strict_extensions(complete(3, 5), (0, 1), VERTEX_EDGE, forbidden={x})
+        # a forbidden root is dropped, as before
+        got = strict_extensions(complete(3, 5), (0, 1), VERTEX_EDGE, forbidden={0, 2})
+        assert got == [(3,), (4,)]
+
     def test_pattern_edge_inside_roots(self):
         g = Hypergraph(3, 4, [(0, 1, 2)])
         pair = RootedPair(g, 3)  # the edge is not an H-edge yet sits in roots
@@ -439,47 +445,6 @@ class TestStrictExtensions:
             moved = strict_extensions(relabeled,
                                       tuple(perm[x] for x in roots), pair)
             assert sorted(tuple(perm[w] for w in t) for t in base) == moved
-
-
-class TestMaximality:
-    def test_isolated_copy_is_maximal(self):
-        host = Hypergraph(3, 6, [(0, 1, 2)])
-        assert is_kt_maximal(host, (0, 1, 2), (0, 1), VERTEX_EDGE)
-
-    def test_complete_host_never_maximal(self):
-        assert not is_kt_maximal(complete(3, 7), (0, 1, 2), (0, 1), VERTEX_EDGE)
-
-    def test_matches_bruteforce(self):
-        rng = random.Random(19)
-        for _ in range(80):
-            host = oracles.random_hypergraph(rng, 3, rng.randint(4, 7), rng.random())
-            copy = tuple(rng.sample(range(host.n), 3))
-            base = tuple(copy[:rng.randint(0, 2)])
-            got = is_kt_maximal(host, copy, base, VERTEX_EDGE)
-            assert got == oracles.brute_kt_maximal(host, copy, base, VERTEX_EDGE)
-
-
-class TestCountMaximal:
-    def test_r0_equals_plain_count(self):
-        rng = random.Random(23)
-        for _ in range(40):
-            host = oracles.random_hypergraph(rng, 3, rng.randint(3, 7), rng.random())
-            got = count_maximal_extensions(host, (0, 1), VERTEX_EDGE, 0, Fraction(1))
-            assert got == len(strict_extensions(host, (0, 1), VERTEX_EDGE))
-
-    def test_single_edge_host(self):
-        host = Hypergraph(3, 3, [(0, 1, 2)])
-        assert count_maximal_extensions(host, (0, 1), VERTEX_EDGE, 0,
-                                        Fraction(1, 3)) == 1
-
-    def test_r1_blocks_crowded_roots(self):
-        # with r=1 at alpha=1, the one-vertex/one-edge pair is neutral, so
-        # a maximal copy must not extend further over any sub-tuple
-        host = Hypergraph(3, 5, [(0, 1, 2), (0, 1, 3)])
-        plain = strict_extensions(host, (0, 1), VERTEX_EDGE)
-        assert plain == [(2,), (3,)]
-        kept = count_maximal_extensions(host, (0, 1), VERTEX_EDGE, 1, Fraction(1))
-        assert kept == 0
 
 
 def test_median_extension_count_growth():

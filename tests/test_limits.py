@@ -8,8 +8,7 @@ from hyperspectra.cyclic import m_decomposition
 from hyperspectra.errors import (CapExceeded, DEFAULT_DECOMP_CAP, DEFAULT_ENUM_CAP,
                                  DEFAULT_EXTENSION_CAP, DEFAULT_PAIR_CAP)
 from hyperspectra.extensions import RootedPair, pair_max_density, strict_extensions
-from hyperspectra.hypergraph import (Hypergraph, automorphism_count, count_embeddings,
-                                     is_isomorphic)
+from hyperspectra.hypergraph import Hypergraph, automorphism_count, count_embeddings
 
 
 def loose_path(n):
@@ -31,7 +30,6 @@ CYCLES21 = Hypergraph(3, 21, loose_cycle(list(range(10))) + loose_cycle([0, *ran
 SITES = {
     "automorphism_count": (lambda: automorphism_count(P13), 13, DEFAULT_ENUM_CAP),
     "count_embeddings": (lambda: count_embeddings(P13, P13), 13, DEFAULT_ENUM_CAP),
-    "is_isomorphic": (lambda: is_isomorphic(P13, P13), 13, DEFAULT_ENUM_CAP),
     "root_symmetry_counts": (lambda: root_symmetry_counts(RootedPair(P13, 1)), 13,
                              DEFAULT_ENUM_CAP),
     "intermediate_sets": (lambda: pair_max_density(RootedPair(loose_path(18), 1)),

@@ -374,6 +374,35 @@ class TestSparseHosts:
             fewer += avoiding < want
         assert fewer >= 2
 
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_isomorphism_matches_bruteforce(self, s):
+        # between hypergraphs of equal order and size an embedding is an
+        # isomorphism: the search must count them exactly as brute force does
+        rng = random.Random(50 + s)
+        same = 0
+        for _ in range(8):
+            g = oracles.random_hypergraph(rng, s, 8, rng.uniform(0.05, 0.15))
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            edges = [tuple(sorted(perm[x] for x in e)) for e in g.edges]
+            assert count_embeddings(Hypergraph(s, g.n, edges), g) == automorphism_count(g)
+            if len(edges) >= 2:
+                # move a vertex between two edges: same degrees, maybe
+                # another hypergraph
+                e1, e2 = rng.sample(edges, 2)
+                a = rng.choice([x for x in e1 if x not in e2])
+                b = rng.choice([x for x in e2 if x not in e1])
+                f1 = tuple(sorted(b if x == a else x for x in e1))
+                f2 = tuple(sorted(a if x == b else x for x in e2))
+                if f1 not in edges and f2 not in edges:
+                    edges = [e for e in edges if e not in (e1, e2)] + [f1, f2]
+            h = Hypergraph(s, g.n, edges)
+            want = oracles.brute_embedding_count(h, g)
+            same += want > 0
+            assert count_embeddings(h, g) == want
+            assert contains_copy(h, g) == (want > 0)
+        assert 0 < same < 8
+
 
 # patterns with several cycles, on at most 8 vertices for the brute-force oracles
 MULTI_CYCLE = {

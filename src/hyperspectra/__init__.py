@@ -20,7 +20,6 @@ from .hypergraph import (
     count_copies,
     count_embeddings,
     density,
-    distance,
     from_json,
     from_json_dict,
     is_strictly_balanced,

@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 from . import __version__
@@ -19,6 +20,7 @@ from .errors import BudgetExceeded, CapExceeded, NotInFamily, NoWitness
 from .errors import (DEFAULT_DECOMP_CAP, DEFAULT_EDGE_BUDGET, DEFAULT_ENUM_CAP,
                      DEFAULT_EVAL_BUDGET, DEFAULT_EXTENSION_CAP, DEFAULT_PAIR_CAP)
 from .extensions import (
+    PairClass,
     RootedPair,
     classify_pair,
     f_alpha,
@@ -31,6 +33,7 @@ from .cyclic import density_bound, m_decomposition
 from .game import extension_strategy, mirror_strategy, solve, verify_strategy
 from .hypergraph import (
     Hypergraph,
+    _copies,
     automorphism_count,
     count_embeddings,
     density,
@@ -41,10 +44,14 @@ from .hypergraph import (
 from .logic import evaluate, parse, quantifier_depth, require_closed
 from .sampling import ModelParams, sample
 from .experiments import (
+    BUILTIN_PROPERTIES,
     CSV_FIELDS,
     JSONL_SCHEMA,
+    CopyCountReport,
     ExperimentConfig,
     PropertySpec,
+    TrialRecord,
+    UnextendableReport,
     copy_count_distribution,
     csv_text,
     sweep_alpha,
@@ -180,10 +187,7 @@ def cmd_classify_pair(args):
     pair = load_pair(args.infile)
     alpha, dec = parse_rational(args.alpha)
     verdict = classify_pair(pair, alpha, cap=args.budget)
-    doc = {"schema": "hyperspectra.pair-class.v1", "alpha": alpha,
-           "kind": verdict.kind,
-           "witness_vertices": list(verdict.witness_vertices),
-           "witness_value": verdict.witness_value,
+    doc = {"schema": "hyperspectra.pair-class.v1", "alpha": alpha, **asdict(verdict),
            "f_alpha": f_alpha(pair, alpha),
            "rho_pair": pair_density(pair),
            "rho_max_pair": pair_max_density(pair, cap=args.budget),
@@ -285,10 +289,7 @@ def cmd_sweep(args):
                            seed=args.seed, alpha=alphas[0], jobs=args.jobs,
                            budget=args.budget)
     reports = sweep_alpha(cfg, alphas=alphas)
-    cells = [{"n": r.n, "alpha": Fraction(r.alpha), "p": r.p,
-              "trials": r.trials, "successes": r.successes,
-              "estimate": r.estimate, "ci_lo": r.ci_lo, "ci_hi": r.ci_hi,
-              "budget_exceeded": r.budget_exceeded} for r in reports]
+    cells = [{name: getattr(r, name) for name in CSV_FIELDS} for r in reports]
     doc = {"schema": "hyperspectra.sweep.v1", "digest": cfg.digest(),
            "property": prop.describe(), "coupled": True,
            "cells": cells, "decimal_inputs": sorted(decimals)}
@@ -300,12 +301,7 @@ def cmd_poisson(args):
     p, decimals = parse_p(args)
     rep = copy_count_distribution(patterns, args.n, args.trials, args.seed, p=p,
                                   jobs=args.jobs, budget=args.budget)
-    return {"schema": "hyperspectra.poisson.v1", "n": rep.n, "p": rep.p,
-            "trials": rep.trials,
-            "histograms": [dict(h) for h in rep.histograms],
-            "means": list(rep.means), "rates": list(rep.rates),
-            "tv_distances": list(rep.tv_distances),
-            "correlations": [list(c) for c in rep.correlations],
+    return {"schema": "hyperspectra.poisson.v1", **asdict(rep),
             "decimal_inputs": sorted(decimals)}, None
 
 
@@ -314,10 +310,8 @@ def cmd_count_copies(args):
     pattern = load_hypergraph(args.pattern)
     emb = count_embeddings(host, pattern, cap=args.budget, induced=args.induced)
     aut = automorphism_count(pattern, cap=args.budget)
-    if emb % aut:
-        raise AssertionError("embedding count must be divisible by automorphisms")
-    return {"schema": "hyperspectra.count-copies.v1", "embeddings": emb,
-            "copies": emb // aut, "automorphisms": aut, "induced": args.induced}, None
+    return {"schema": "hyperspectra.count-copies.v1", "embeddings": emb, "automorphisms": aut,
+            "copies": _copies(emb, aut), "induced": args.induced}, None
 
 
 def cmd_unextendable(args):
@@ -325,11 +319,13 @@ def cmd_unextendable(args):
     p, decimals = parse_p(args)
     rep = unextendable_copy_count(pair, args.n, args.trials, args.seed, p=p,
                                   jobs=args.jobs, budget=args.budget)
-    return {"schema": "hyperspectra.unextendable.v1", "n": rep.n, "p": rep.p,
-            "trials": rep.trials, "histogram": dict(rep.histogram),
-            "mean": rep.mean, "rate": rep.rate,
-            "tv_distance": rep.tv_distance,
+    return {"schema": "hyperspectra.unextendable.v1", **asdict(rep),
             "decimal_inputs": sorted(decimals)}, None
+
+
+def field_names(cls) -> list[str]:
+    """The fields of a report dataclass, which its document carries in order."""
+    return [f.name for f in fields(cls)]
 
 
 def cmd_schema_dump(args):
@@ -342,8 +338,7 @@ def cmd_schema_dump(args):
         "formula_file": "UTF-8 s-expression text, .fol by convention",
         "jsonl": {"schema": JSONL_SCHEMA,
                   "header": ["schema", "digest", "config"],
-                  "record": ["n", "p", "trial_index", "outcome", "elapsed",
-                             "budget_exceeded", "alpha"]},
+                  "record": field_names(TrialRecord)},
         "csv_summary": {"comment": "# digest: <sha256 of canonical config>",
                         "fields": CSV_FIELDS},
         "documents": {
@@ -351,9 +346,8 @@ def cmd_schema_dump(args):
                        "trial", "decimal_inputs"],
             "density": ["schema", "rho", "rho_max", "witness", "v", "e"],
             "balance": ["schema", "strictly_balanced", "rho", "rho_max"],
-            "classify-pair": ["schema", "alpha", "kind", "witness_vertices",
-                              "witness_value", "f_alpha", "rho_pair",
-                              "rho_max_pair", "decimal_inputs"],
+            "classify-pair": ["schema", "alpha", *field_names(PairClass), "f_alpha",
+                              "rho_pair", "rho_max_pair", "decimal_inputs"],
             "extend": ["schema", "roots", "count", "extensions"],
             "decompose": ["schema", "m", "density_bound", "in_family",
                           "reason", "steps"],
@@ -363,13 +357,10 @@ def cmd_schema_dump(args):
                        "witness", "<one key per computed value>"],
             "sweep": ["schema", "digest", "property", "coupled", "cells",
                       "decimal_inputs"],
-            "poisson": ["schema", "n", "p", "trials", "histograms", "means",
-                        "rates", "tv_distances", "correlations",
-                        "decimal_inputs"],
+            "poisson": ["schema", *field_names(CopyCountReport), "decimal_inputs"],
             "count-copies": ["schema", "embeddings", "copies",
                              "automorphisms", "induced"],
-            "unextendable": ["schema", "n", "p", "trials", "histogram",
-                             "mean", "rate", "tv_distance", "decimal_inputs"],
+            "unextendable": ["schema", *field_names(UnextendableReport), "decimal_inputs"],
         },
         "notes": ["rationals serialize as 'p/q' strings",
                   "floats carry 12 significant digits",
@@ -520,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pattern",
                     help="hypergraph JSON file; property = contains a copy")
     sp.add_argument("--formula", help="inline closed formula as the property")
-    sp.add_argument("--builtin", choices=["contains-edge"],
+    sp.add_argument("--builtin", choices=BUILTIN_PROPERTIES,
                     help="named built-in property")
 
     sp = sub("poisson", cmd_poisson,

@@ -17,7 +17,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from functools import partial
 from typing import Optional, Union
@@ -26,10 +26,10 @@ from .bounds import unextendable_poisson_rate
 from .errors import BudgetExceeded, HypothesisViolated
 from .extensions import RootedPair, _strict_search
 from . import hypergraph
-from .hypergraph import (Hypergraph, _embedding_search, automorphism_count,
+from .hypergraph import (Hypergraph, _copies, _embedding_search, automorphism_count,
                          contains_copy, density, is_strictly_balanced)
 from .logic import compile_formula, parse, require_closed
-from .sampling import ModelParams, _no_helper, _stop_helper, p_from_alpha, sample_coupled
+from .sampling import ModelParams, _stop_helper, p_from_alpha, sample_coupled
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -216,13 +216,13 @@ def _run_chunk(make_value, s: int, seed: int, n: int, ps, budget, indices) -> li
 
 def _pool(jobs: int):
     """The worker pool a run shares across its cells: none for one job.
-    The workers start no sampler helper thread, since the jobs already
-    share the CPUs; this process's helper is shut down first, so that no
-    thread of it runs when the workers are forked."""
+    The workers start no sampler helper thread (see `sampling._helper`);
+    this process's helper is shut down first, so that no thread of it
+    runs when the workers are forked."""
     if jobs == 1:
         return nullcontext()
     _stop_helper()
-    return ProcessPoolExecutor(max_workers=jobs, initializer=_no_helper)
+    return ProcessPoolExecutor(max_workers=jobs)
 
 
 def _run_trials(pool, jobs: int, trials: int, *args) -> list[tuple]:
@@ -341,10 +341,8 @@ def _copy_counter(patterns, auts):
     profiles share the host's one peel (`Hypergraph.peel_memo`)."""
     def count(host):
         # count_embeddings is looked up on the module, where span tracers wrap it
-        embs = [hypergraph.count_embeddings(host, g) for g in patterns]
-        if any(e % a for e, a in zip(embs, auts)):
-            raise AssertionError("embeddings come in aut-orbits")
-        return [e // a for e, a in zip(embs, auts)]
+        return [_copies(hypergraph.count_embeddings(host, g), a)
+                for g, a in zip(patterns, auts)]
     return count
 
 
@@ -440,7 +438,7 @@ def unextendable_copy_count(pair: RootedPair, n: int, trials: int, seed: int,
     without sampling and the comparison law is the point mass at 0.
     """
     _check_sizes(trials, jobs)
-    trivial = pair.v_diff == 0 and not pair.pattern_edges
+    trivial = pair.v_diff == 0 and not pair.pattern.edges
     rate = 0.0 if trivial else unextendable_poisson_rate(pair)
     if p is None:
         h = pair.root_structure
@@ -459,22 +457,23 @@ def unextendable_copy_count(pair: RootedPair, n: int, trials: int, seed: int,
 # Persistence: JSONL for raw records, CSV for summaries.
 
 JSONL_SCHEMA = "hyperspectra.trials.v1"
-CSV_FIELDS = ["n", "alpha", "p", "trials", "successes", "estimate",
-              "ci_lo", "ci_hi", "budget_exceeded"]
+# a summary row is its report without the digest, which heads the file
+CSV_FIELDS = [f.name for f in fields(EstimateReport) if f.name != "digest"]
+_RECORD_FIELDS = fields(TrialRecord)
 
 
 def _record_to_dict(r: TrialRecord) -> dict:
-    return {"n": r.n, "p": r.p, "trial_index": r.trial_index,
-            "outcome": r.outcome, "elapsed": r.elapsed,
-            "budget_exceeded": r.budget_exceeded,
-            "alpha": None if r.alpha is None else str(Fraction(r.alpha))}
+    doc = {f.name: getattr(r, f.name) for f in _RECORD_FIELDS}
+    return {**doc, "alpha": None if r.alpha is None else str(Fraction(r.alpha))}
 
 
 def _record_from_dict(doc: dict) -> TrialRecord:
-    alpha = doc.get("alpha")
-    return TrialRecord(doc["n"], doc["p"], doc["trial_index"], doc["outcome"],
-                       doc.get("elapsed", 0.0), doc.get("budget_exceeded", False),
-                       None if alpha is None else Fraction(alpha))
+    """The record a line holds; KeyError names a missing field without default."""
+    kwargs = {f.name: doc[f.name] if f.default is MISSING else doc.get(f.name, f.default)
+              for f in _RECORD_FIELDS}
+    if kwargs["alpha"] is not None:
+        kwargs["alpha"] = Fraction(kwargs["alpha"])
+    return TrialRecord(**kwargs)
 
 
 def save_jsonl(path, cfg: ExperimentConfig, records, append: bool = False):
@@ -555,13 +554,10 @@ def csv_text(digest: str, reports) -> str:
     writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS)
     writer.writeheader()
     for r in reports:
-        writer.writerow({
-            "n": r.n,
-            "alpha": "" if r.alpha is None else str(Fraction(r.alpha)),
-            "p": f"{r.p:.12g}", "trials": r.trials,
-            "successes": r.successes, "estimate": f"{r.estimate:.12g}",
-            "ci_lo": f"{r.ci_lo:.12g}", "ci_hi": f"{r.ci_hi:.12g}",
-            "budget_exceeded": r.budget_exceeded})
+        row = {name: getattr(r, name) for name in CSV_FIELDS}
+        row["alpha"] = "" if r.alpha is None else str(Fraction(r.alpha))
+        writer.writerow({k: f"{v:.12g}" if isinstance(v, float) else v
+                         for k, v in row.items()})
     return buf.getvalue()
 
 

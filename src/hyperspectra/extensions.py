@@ -60,10 +60,11 @@ class RootedPair:
         """H as a hypergraph on the roots."""
         return Hypergraph(self.g.s, self.roots, self.h_edges)
 
-    @property
-    def pattern_edges(self) -> tuple[Edge, ...]:
+    @cached_property
+    def pattern(self) -> Hypergraph:
+        """G without the H-edges, on all of G's vertices: what an extension places."""
         h = set(self.h_edges)
-        return tuple(e for e in self.g.edges if e not in h)
+        return Hypergraph(self.g.s, self.g.n, [e for e in self.g.edges if e not in h])
 
     def to_json_dict(self) -> dict:
         return {"g": self.g.to_json_dict(), "roots": self.roots,
@@ -257,12 +258,11 @@ def _strict_search(host: Hypergraph, root_tuple, pair: RootedPair, mode: str,
             raise ValueError(f"forbidden vertex {x} outside the host")
     check_cap(pair.v_diff, DEFAULT_EXTENSION_CAP, cap, "extension")
 
-    pattern = pair.pattern_edges
-    if any(e[-1] < pair.roots for e in pattern) or (pair.v_diff == 0 and pattern):
+    if any(e[-1] < pair.roots for e in pair.pattern.edges):
         found = []
     elif pair.v_diff == 0:
         found = [root_tuple]
     else:
-        return _embedding_search(host, Hypergraph(host.s, pair.g.n, pattern), mode,
-                                 strict=True, roots=root_tuple, forbidden=forbidden)
+        return _embedding_search(host, pair.pattern, mode, strict=True,
+                                 roots=root_tuple, forbidden=forbidden)
     return found if mode == "collect" else len(found)

@@ -167,6 +167,8 @@ def verify_strategy(g1: Hypergraph, g2: Hypergraph, k: int,
     the budget counts the (n1+n2)^k lines."""
     if g1.s != g2.s:
         raise ValueError("boards must share the same uniformity")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     check_budget((g1.n + g2.n) ** k, DEFAULT_EVAL_BUDGET, budget, "Spoiler lines")
 
     def rec(chosen1: tuple, chosen2: tuple, rounds_left: int) -> bool:

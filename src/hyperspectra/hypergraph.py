@@ -83,15 +83,6 @@ class Hypergraph:
         return tuple(tuple(b) for b in by_vertex)
 
     @cached_property
-    def neighbors(self) -> tuple[frozenset[int], ...]:
-        """neighbors[x] = vertices sharing an edge with x (x excluded)."""
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for e in self.edges:
-            for x in e:
-                adj[x].update(e)
-        return tuple(frozenset(a - {x}) for x, a in enumerate(adj))
-
-    @cached_property
     def link(self) -> dict[frozenset[int], tuple[int, ...]]:
         """link[R] = the vertices z with R + {z} an edge, for each (s-1)-set
         R inside an edge.  They come out ascending without a sort: the
@@ -824,11 +815,16 @@ def count_copies(host: Hypergraph, pattern: Hypergraph, cap: int | None = None,
     Copies are not induced unless asked: extra host edges among the image
     vertices are allowed.
     """
-    emb = count_embeddings(host, pattern, cap=cap, induced=induced)
-    aut = automorphism_count(pattern, cap=cap)
-    if emb % aut:
+    return _copies(count_embeddings(host, pattern, cap=cap, induced=induced),
+                   automorphism_count(pattern, cap=cap))
+
+
+def _copies(embeddings: int, automorphisms: int) -> int:
+    """Copies from embeddings: each copy is the image of `automorphisms` of them."""
+    copies, rest = divmod(embeddings, automorphisms)
+    if rest:
         raise AssertionError("embedding count must be divisible by automorphisms")
-    return emb // aut
+    return copies
 
 
 def contains_copy(host: Hypergraph, pattern: Hypergraph) -> bool:
@@ -838,24 +834,3 @@ def contains_copy(host: Hypergraph, pattern: Hypergraph) -> bool:
         return False
     return _embedding_search(host, pattern, "exists") > 0
 
-
-def distance(g: Hypergraph, x: int, y: int) -> int | None:
-    """Hop count where one hop is sharing an edge; None when unreachable."""
-    for z in (x, y):
-        if not 0 <= z < g.n:
-            raise ValueError(f"vertex {z} outside 0..{g.n - 1}")
-    if x == y:
-        return 0
-    dist = {x: 0}
-    frontier = [x]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in g.neighbors[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    if w == y:
-                        return dist[w]
-                    nxt.append(w)
-        frontier = nxt
-    return None

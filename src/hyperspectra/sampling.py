@@ -26,11 +26,12 @@ counter-based, so a thread can reset its stream to any block, and the
 draw does not depend on which thread read which block.  The caller never
 waits for the helper; it reads again any block the helper has not stored
 when none is left to claim.  No helper runs where the process may use one
-CPU only, or in the worker processes of a `jobs > 1` pool.
+CPU only, or in one that `multiprocessing` started, such as a pool worker.
 """
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -143,12 +144,13 @@ _HELPER: tuple = (None, None)  # (pid, its helper pool or None)
 
 def _helper() -> ThreadPoolExecutor | None:
     """This process's one-thread helper pool, made on first use; None where
-    the process may run on one CPU only, or after `_no_helper`.  Keyed by
-    pid, so a forked child makes its own."""
+    the process may run on one CPU only, or where `multiprocessing` started
+    it.  Keyed by pid, so a forked child decides for itself."""
     global _HELPER
     pid = os.getpid()
     if _HELPER[0] != pid:
-        _HELPER = (pid, ThreadPoolExecutor(1) if _cpus() > 1 else None)
+        wanted = _cpus() > 1 and multiprocessing.parent_process() is None
+        _HELPER = (pid, ThreadPoolExecutor(1) if wanted else None)
     return _HELPER[1]
 
 
@@ -160,13 +162,6 @@ def _stop_helper() -> None:
     if pid == os.getpid() and pool is not None:
         pool.shutdown()
     _HELPER = (None, None)
-
-
-def _no_helper() -> None:
-    """Start no helper in this process: the initializer of pool workers,
-    whose siblings keep the other CPUs busy."""
-    global _HELPER
-    _HELPER = (os.getpid(), None)
 
 
 _LOCAL = threading.local()  # .stream: this thread's Philox, made on first use

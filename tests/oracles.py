@@ -404,7 +404,7 @@ def structural_two_cycle_property(g: Hypergraph, a1: int, a2: int, a3: int) -> b
 def brute_strict_extensions(host, roots, pair, forbidden=()):
     """Permutation-scan reference for strict extension placement."""
     roots = tuple(roots)
-    pattern = pair.pattern_edges
+    pattern = pair.pattern.edges
     if any(e[-1] < pair.roots for e in pattern):
         return []
     if pair.v_diff == 0:

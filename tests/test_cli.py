@@ -131,6 +131,14 @@ class TestExitCodes:
             assert err == f"error: {name} must fit in 64 bits\n"
             assert run(argv[:-1] + [str(2**64 - 1)], capsys)[0] == 0
 
+    def test_negative_rounds_refused(self, files, capsys):
+        # every strategy refuses k < 0 with the solver's message, before
+        # the budget check and before any position is built
+        for strategy in ("optimal", "mirror", "extension"):
+            code, out, err = run(["game", "--g1", files.edge3, "--g2", files.edge3,
+                                  "--k=-1", "--strategy", strategy], capsys)
+            assert (code, out, err) == (1, "", "error: k must be nonnegative\n"), strategy
+
     def test_decompose_needs_a_finite_bound(self, files, capsys):
         # m(s-1) = 1 would put a zero under the bound m/(m(s-1) - 1)
         code, out, err = run(["decompose", "--in", files.triangle, "--m", "1"], capsys)

@@ -49,3 +49,21 @@ def test_every_import_is_used(path):
     unused = [f"{path.name}:{line} {name}" for name, line in _module_imports(tree)
               if name not in used]
     assert not unused, f"imported but never used: {', '.join(unused)}"
+
+
+
+def test_every_private_function_is_called():
+    # a module-level `_name` def or class is referenced, as a name or an
+    # attribute, by some other top-level statement of the package
+    statements = []  # (module path, top-level statement, names it references)
+    for path in MODULES:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            names = {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))}
+            statements.append((path, stmt, names))
+    uncalled = [f"{path.name}:{stmt.lineno} {stmt.name}" for path, stmt, _ in statements
+                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                and stmt.name.startswith("_") and not stmt.name.startswith("__")
+                and not any(stmt.name in names for _, other, names in statements
+                            if other is not stmt)]
+    assert not uncalled, f"defined but never referenced: {', '.join(uncalled)}"

@@ -2,13 +2,15 @@
 
 import json
 import math
+import multiprocessing
 import random
 import threading
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
 
-from hyperspectra import experiments, sampling
+from hyperspectra import experiments
 from hyperspectra.errors import (BudgetExceeded, CapExceeded, HypothesisViolated,
                                  ParseError)
 from hyperspectra.experiments import (
@@ -280,7 +282,7 @@ class TestSweep:
                                6, seed=5, alpha=Fraction(2), jobs=2)
         grid = [Fraction(2), Fraction(5, 2), Fraction(3)]
         reports = sweep_alpha(cfg, grid)
-        assert pools == [{"max_workers": 2, "initializer": sampling._no_helper}]
+        assert pools == [{"max_workers": 2}]
         serial = ExperimentConfig(3, (12, 16), PropertySpec("pattern", pattern=LOOSE_PATH),
                                   6, seed=5, alpha=Fraction(2))
         assert reports == sweep_alpha(serial, grid)
@@ -527,7 +529,7 @@ class TestCountStudies:
     @pytest.mark.parametrize("study", COUNT_STUDIES.values(), ids=COUNT_STUDIES)
     def test_one_pool_per_study(self, pools, study):
         assert study(2) == study(1)
-        assert pools == [{"max_workers": 2, "initializer": sampling._no_helper}]
+        assert pools == [{"max_workers": 2}]
 
     @pytest.mark.parametrize("call, message", [
         (lambda: copy_count_distribution(TRIANGLE, 30, 0, seed=1), "trials"),
@@ -735,6 +737,13 @@ class TestSamplerHelper:
             # no helper thread left for the fork to copy
             assert threading.active_count() == 1
             assert list(pool.map(_threads_after_multi_block_draw, range(4))) == [1] * 4
+
+    def test_spawned_workers_start_no_helper(self):
+        # the workers of a pool made outside the harness, started afresh
+        # rather than forked, decide for themselves
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+            assert pool.submit(_threads_after_multi_block_draw, 0).result() == 1
 
 
 class TestDeterminism:

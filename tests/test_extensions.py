@@ -54,7 +54,7 @@ class TestRootedPair:
         pair = RootedPair(g, 3, [(0, 1, 2)])
         assert pair.v_diff == 3
         assert pair.e_diff == 2
-        assert pair.pattern_edges == ((2, 3, 4), (2, 4, 5))
+        assert pair.pattern.edges == ((2, 3, 4), (2, 4, 5))
 
     def test_json_round_trip(self):
         g = Hypergraph(3, 5, [(0, 1, 2), (1, 3, 4)])

@@ -26,7 +26,6 @@ from hyperspectra.hypergraph import (
     count_copies,
     count_embeddings,
     density,
-    distance,
     from_json,
     is_strictly_balanced,
     max_density,
@@ -662,7 +661,7 @@ COLLECT_DIGEST = "375046120f638399900dd8c1eaf831748c1df56ba56bf64969ca478de1d43f
 
 
 def _added_pattern(pair):
-    return Hypergraph(pair.g.s, pair.g.n, pair.pattern_edges)
+    return Hypergraph(pair.g.s, pair.g.n, pair.pattern.edges)
 
 
 def _brute_rooted_count(host, roots, pair, forbidden):
@@ -673,7 +672,7 @@ def _brute_rooted_count(host, roots, pair, forbidden):
     for placement in itertools.permutations(pool, pair.v_diff):
         image = tuple(roots) + placement
         count += all(tuple(sorted(image[x] for x in e)) in host.edge_set
-                     for e in pair.pattern_edges)
+                     for e in pair.pattern.edges)
     return count
 
 
@@ -1034,37 +1033,6 @@ class TestCycleDomains:
         chorded = Hypergraph(2, 9, host.edges + ((0, 2),))
         calls = _matcher_calls(lambda: count_embeddings(chorded, k3))
         assert calls["result"] == 6 and calls["place"] and calls["assign"]
-
-
-class TestDistance:
-    def test_same_vertex(self):
-        assert distance(EDGE3, 0, 0) == 0
-
-    def test_common_edge(self):
-        assert distance(EDGE3, 0, 2) == 1
-
-    def test_loose_path_endpoints(self):
-        assert distance(BOWTIE, 0, 4) == 2
-
-    def test_unreachable(self):
-        g = Hypergraph(3, 6, [(0, 1, 2)])
-        assert distance(g, 0, 5) is None
-
-    def test_symmetry_and_triangle(self):
-        rng = random.Random(9)
-        for _ in range(20):
-            g = oracles.random_hypergraph(rng, 3, 7, 0.15)
-            for x in range(g.n):
-                for y in range(g.n):
-                    assert distance(g, x, y) == distance(g, y, x)
-                    assert distance(g, x, y) == oracles.bfs_distance(g, x, y)
-            for x in range(g.n):
-                for y in range(g.n):
-                    for z in range(g.n):
-                        dxy, dyz, dxz = (distance(g, x, y), distance(g, y, z),
-                                         distance(g, x, z))
-                        if dxy is not None and dyz is not None:
-                            assert dxz is not None and dxz <= dxy + dyz
 
 
 class TestInduced:

@@ -480,7 +480,11 @@ def test_concurrent_draws_share_one_helper(monkeypatch):
         for _ in range(2):
             for params, ps, want in cases[k:] + cases[:k]:
                 mine.append(sample_coupled(params, ps) == want)
-                streams.setdefault(k, set()).add(sampling._LOCAL.stream)
+                # a thread makes its stream with its first block: while the
+                # helper has read every block of its draws, it has none
+                stream = getattr(sampling._LOCAL, "stream", None)
+                if stream is not None:
+                    streams.setdefault(k, set()).add(stream)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -495,9 +499,10 @@ def test_concurrent_draws_share_one_helper(monkeypatch):
         sys.setswitchinterval(interval)
         sampling._stop_helper()
     assert matches == {k: [True] * (2 * len(cases)) for k in range(4)}
-    # one stream per thread, kept across its draws
-    assert [len(streams[k]) for k in range(4)] == [1] * 4
-    assert len(set.union(*streams.values())) == 4
+    # a thread that read a block kept one stream across its draws, and no
+    # two threads shared one
+    assert all(len(mine) == 1 for mine in streams.values())
+    assert len(set().union(*streams.values())) == len(streams)
 
 
 # Each thread reads every draw on one Philox, reset at each block's start.

@@ -182,48 +182,55 @@ def random_family_member(s: int, m: int, rng: random.Random,
     """Grow a random member by repeatedly applying admissible steps.
 
     Each step takes the lowest fresh ids, so the member grown so far always
-    lives on 0..k-1 and needs no relabeling.  Always applies at least one
-    step, so the result has edges.
+    lives on 0..k-1 and needs no relabeling.  A step is refused by its
+    counts, after its last draw and before its edges are built: every
+    step edge holds a fresh vertex, so the candidate has e(member) plus
+    the step's edges.  Always applies at least one step, so the result
+    has edges.
     """
     bound = density_bound(s, m)
+    a, b = bound.numerator, bound.denominator
     pool = max_vertices + m * s  # fresh ids a step may draw from
     k = 1
     es: set[Edge] = set()
     member = None
-    for _ in range(attempts):
-        if k >= max_vertices:
-            break
+
+    def fits(new_vertices: int, new_edges: int) -> bool:
+        n = k + new_vertices
+        return n <= max_vertices and (len(es) + new_edges) * b < a * n
+
+    tried = 0
+    while tried < attempts and k < max_vertices:
+        tried += 1
         case = rng.choice((1, 2, 3)) if member is not None else 1
-        move = _propose(s, m, list(range(k)), list(range(k, pool)), case, rng)
+        move = _propose(s, m, list(range(k)), list(range(k, pool)), case, rng, fits)
         if move is None:
             continue
-        cand_k = k + len(move.new_vertices)
-        cand_es = es | set(move.new_edges)
-        if cand_k > max_vertices:
-            continue
-        if len(cand_es) * bound.denominator >= bound.numerator * cand_k:
-            continue  # the whole already reaches the bound
-        cand = Hypergraph(s, cand_k, cand_es)
+        cand_es = es.union(move.new_edges)
+        cand = Hypergraph(s, k + len(move.new_vertices), cand_es)
         if max_density_below(cand, bound):
-            k, es, member = cand_k, cand_es, cand
+            k, es, member = cand.n, cand_es, cand
     if member is None:
-        raise NoWitness(f"no admissible growth step found in {attempts} attempts")
+        raise NoWitness(f"no admissible growth step found in {tried} attempts")
     return member
 
 
 def _propose(s: int, m: int, anchors: list[int], fresh: list[int],
-             case: int, rng: random.Random) -> ExtensionMove | None:
-    """One random candidate step; shape-valid, density unchecked."""
+             case: int, rng: random.Random, fits) -> ExtensionMove | None:
+    """One random shape-valid candidate step, density unchecked, or None.
+
+    `fits(new vertices, new edges)` is asked after the step's last draw
+    and before any of its edges is built; a step it refuses is None.
+    """
     if case == 3:
-        if len(anchors) < 2:
-            return None
+        if s < 3 or len(anchors) < 2:
+            return None  # an edge through >= 2 anchors and a fresh vertex needs s >= 3
         l = rng.randint(2, min(s - 1, len(anchors)))
         roots = rng.sample(anchors, l)
         ys = fresh[: s - l]
-        if len(ys) < s - l:
+        if len(ys) < s - l or not fits(s - l, 1):
             return None
-        e = tuple(sorted(roots + ys))
-        return ExtensionMove(3, tuple(ys), (e,))
+        return ExtensionMove(3, tuple(ys), (tuple(sorted(roots + ys)),))
     k = rng.randint(1, m - 1) if m > 1 else None
     if k is None:
         return None
@@ -232,34 +239,24 @@ def _propose(s: int, m: int, anchors: list[int], fresh: list[int],
         return None
     ys = fresh[:need]
     x1 = rng.choice(anchors)
-    chain = []
-    prev = x1
-    for j in range(k):
-        block = ys[j * (s - 1): (j + 1) * (s - 1)]
-        chain.append(tuple(sorted([prev] + block)))
-        prev = block[-1]
-    tip = prev
-    non_tip = [y for y in ys if y != tip]
-    if case == 1:
-        l = rng.randint(0, s - 2)
-        us_need = s - 1 - l
-        if us_need > len(non_tip) or us_need < 1:
+    ends = [ys[-1]]  # the path's tip, and in case 2 the second anchor
+    if case == 2:
+        others = [x for x in anchors if x != x1]
+        if not others:
             return None
-        us = rng.sample(non_tip, us_need)
-        zs = fresh[need: need + l]
-        closing = tuple(sorted([tip] + us + zs))
-        if closing in chain:  # would dedupe into a pendant path
-            return None
-        return ExtensionMove(1, tuple(ys) + tuple(zs), tuple(chain) + (closing,))
-    others = [x for x in anchors if x != x1]
-    if not others:
-        return None
-    x2 = rng.choice(others)
+        ends.append(rng.choice(others))
     l = rng.randint(0, s - 2)
-    us_need = s - 2 - l
-    if us_need > len(non_tip):
+    us_need = s - len(ends) - l  # path vertices the closing edge reuses
+    if us_need > need - 1:
         return None
-    us = rng.sample(non_tip, us_need)
-    zs = fresh[need: need + l]
-    closing = tuple(sorted([tip, x2] + us + zs))
-    return ExtensionMove(2, tuple(ys) + tuple(zs), tuple(chain) + (closing,))
+    us = rng.sample(ys[:-1], us_need)
+    if not fits(need + l, k + 1):
+        return None
+    chain, prev = [], x1
+    for j in range(0, need, s - 1):
+        chain.append(tuple(sorted([prev] + ys[j: j + s - 1])))
+        prev = ys[j + s - 2]
+    closing = tuple(sorted(ends + us + fresh[need: need + l]))
+    if closing in chain:  # would dedupe into a pendant path
+        return None
+    return ExtensionMove(case, tuple(fresh[:need + l]), tuple(chain) + (closing,))

@@ -196,22 +196,8 @@ def _density_flow(g: Hypergraph, q: Fraction) -> tuple[FlowNetwork, bool]:
     every maximum flow has the same closed sets, the minimum cuts
     (Picard & Queyranne 1980).
     """
-    a, b = q.numerator, q.denominator
-    net = FlowNetwork(2 + g.e + g.n)
-    vnode = 2 + g.e
-    inf = b * g.e + a * g.n + 1
-    spare = [a] * g.n
-    for i, e in enumerate(g.edges):
-        left = b
-        for x in e:
-            give = min(left, spare[x])
-            spare[x] -= give
-            left -= give
-            net.add_edge(2 + i, vnode + x, inf, give)
-        net.add_edge(0, 2 + i, b, b - left)
-    for x in range(g.n):
-        net.add_edge(vnode + x, 1, a, a - spare[x])
-    return net, net.max_flow(0, 1) < b * g.e
+    net = FlowNetwork.densest_subset(g.edges, g.n, q.numerator, q.denominator)
+    return net, net.max_flow(0, 1) < q.denominator * g.e
 
 
 def max_density(g: Hypergraph) -> tuple[Fraction, tuple[int, ...]]:

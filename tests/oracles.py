@@ -24,6 +24,7 @@ from hyperspectra.game import DUPLICATOR, SPOILER, extends_partial_iso
 from hyperspectra.hypergraph import Hypergraph, contains_copy
 from hyperspectra.logic import (And, EdgeAtom, Equal, Exists, Forall, Formula,
                                 Implies, Not, Or, evaluate, parse)
+from hyperspectra.maxflow import FlowNetwork
 from hyperspectra.sampling import ModelParams, p_from_alpha, sample
 
 
@@ -47,6 +48,27 @@ def brute_is_strictly_balanced(g: Hypergraph) -> bool:
             if Fraction(e, size) >= rho:
                 return False
     return True
+
+
+def density_network(g: Hypergraph, q: Fraction) -> FlowNetwork:
+    """The densest-subset network at q = a/b with its greedy preflow, one
+    `add_edge` call per arc: the reference for `FlowNetwork.densest_subset`."""
+    a, b = q.numerator, q.denominator
+    net = FlowNetwork(2 + g.e + g.n)
+    vnode = 2 + g.e
+    inf = b * g.e + a * g.n + 1
+    spare = [a] * g.n
+    for i, e in enumerate(g.edges):
+        left = b
+        for x in e:
+            give = min(left, spare[x])
+            spare[x] -= give
+            left -= give
+            net.add_edge(2 + i, vnode + x, inf, give)
+        net.add_edge(0, 2 + i, b, b - left)
+    for x in range(g.n):
+        net.add_edge(vnode + x, 1, a, a - spare[x])
+    return net
 
 
 def brute_min_cut(n: int, arcs, s: int, t: int) -> tuple[int, frozenset[int]]:

@@ -14,7 +14,7 @@ from hyperspectra.cyclic import (
     m_decomposition,
     random_family_member,
 )
-from hyperspectra.errors import CapExceeded, NotInFamily
+from hyperspectra.errors import CapExceeded, NotInFamily, NoWitness
 from hyperspectra.hypergraph import Hypergraph, max_density
 
 
@@ -159,3 +159,54 @@ class TestFamilySampling:
             g = random_family_member(s, m, rng, max_vertices=max_vertices)
             rows.append([g.n, [list(e) for e in g.edges]])
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == want
+
+    def test_chain_of_the_exact_benchmark(self, monkeypatch):
+        """The 102 members the `exact` benchmark draws, m = 2, 3, 4 from one
+        rng: a step drawing one value more or fewer changes the digest,
+        recorded before steps were refused by their counts.  490 candidates
+        reach a flow, and only they are built into an `ExtensionMove`."""
+        counts = {"flows": 0, "moves": 0}
+        below, move = cyclic.max_density_below, cyclic.ExtensionMove
+
+        def counted_below(g, q):
+            counts["flows"] += 1
+            return below(g, q)
+
+        def counted_move(*args):
+            counts["moves"] += 1
+            return move(*args)
+
+        monkeypatch.setattr(cyclic, "max_density_below", counted_below)
+        monkeypatch.setattr(cyclic, "ExtensionMove", counted_move)
+        rng = random.Random(700)
+        rows = []
+        for m in (2, 3, 4):
+            for _ in range(34):
+                g = random_family_member(3, m, rng, max_vertices=20)
+                rows.append([m, g.n, [list(e) for e in g.edges]])
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == "2e20f3b072ee2fe4fe352939a9cefb8e8badbf24d03b170fb18beae10a071038"
+        assert counts == {"flows": 490, "moves": 490}
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_graphs_grow_or_find_no_witness(self, m):
+        """s = 2 has no single-edge step: an edge through two anchors has no
+        room for a fresh vertex.  The first step, a path of k < m edges from
+        the start vertex closed back onto itself, needs k >= 3 in a graph,
+        so members grow only from m = 4 on."""
+        grown = 0
+        for seed in range(5):
+            try:
+                g = random_family_member(2, m, random.Random(seed))
+            except NoWitness:
+                continue
+            assert max_density(g)[0] < density_bound(2, m)
+            grown += 1
+        assert grown == (5 if m == 4 else 0)
+
+    @pytest.mark.parametrize("max_vertices,attempts,made", [
+        (0, 40, 0), (1, 40, 0), (2, 40, 40), (2, 7, 7)])
+    def test_no_witness_names_attempts_made(self, max_vertices, attempts, made):
+        # a closed path from the one start vertex needs at least 3 vertices
+        with pytest.raises(NoWitness, match=f"found in {made} attempts$"):
+            random_family_member(3, 3, random.Random(1), max_vertices, attempts)

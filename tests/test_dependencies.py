@@ -67,3 +67,13 @@ def test_every_private_function_is_called():
                 and not any(stmt.name in names for _, other, names in statements
                             if other is not stmt)]
     assert not uncalled, f"defined but never referenced: {', '.join(uncalled)}"
+
+
+def test_flow_arcs_only_in_maxflow():
+    # the arc layout of a FlowNetwork is maxflow.py's own: no other module
+    # reads or writes `adj` or `outflow`
+    touched = [f"{path.name}:{node.lineno} .{node.attr}"
+               for path in MODULES if path.name != "maxflow.py"
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, ast.Attribute) and node.attr in ("adj", "outflow")]
+    assert not touched, f"flow arcs used outside maxflow.py: {', '.join(touched)}"

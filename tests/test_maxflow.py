@@ -134,3 +134,26 @@ def test_density_fingerprint():
         rows.append([str(rho), list(witness), is_strictly_balanced(g) if g.e else None])
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == "189ee3fee6b7e4a4fd80f07578c701a8b985f82eba3efecc5982ad2bcbf12efb"
+
+
+def test_one_pass_network_matches_add_edge_build():
+    """`FlowNetwork.densest_subset` lays out the arcs, in order, with the
+    flows of one `add_edge` call per arc; q is drawn both at random and
+    from subset densities, so the greedy preflow meets ties.  The density
+    answers on those networks match exhaustive scans."""
+    rng = random.Random(29)
+    for _ in range(300):
+        s = rng.choice((2, 3, 4))
+        g = oracles.random_hypergraph(rng, s, rng.randint(1, 9), rng.random())
+        rho = oracles.brute_max_density(g)
+        w = rng.sample(range(g.n), rng.randint(1, g.n))
+        qs = (rho, Fraction(g.edges_inside(w), len(w)),
+              Fraction(rng.randint(0, 30), rng.randint(1, 12)))
+        for q in qs:
+            net = FlowNetwork.densest_subset(g.edges, g.n, q.numerator, q.denominator)
+            want = oracles.density_network(g, q)
+            assert (net.adj, net.outflow) == (want.adj, want.outflow), (g, q)
+            assert max_density_below(g, q) == (rho < q)
+        assert max_density(g)[0] == rho
+        if g.e:
+            assert is_strictly_balanced(g) == oracles.brute_is_strictly_balanced(g)

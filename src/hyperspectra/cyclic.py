@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .errors import NotInFamily, NoWitness, check_cap, DEFAULT_DECOMP_CAP
 from .hypergraph import Edge, Hypergraph, max_density, max_density_below
+from .maxflow import FlowNetwork
 
 State = tuple[frozenset[int], frozenset[Edge]]
 
@@ -186,14 +187,17 @@ def random_family_member(s: int, m: int, rng: random.Random,
     counts, after its last draw and before its edges are built: every
     step edge holds a fresh vertex, so the candidate has e(member) plus
     the step's edges.  Always applies at least one step, so the result
-    has edges.
+    has edges.  A step is checked on a copy of the member's maximum flow
+    at q grown by the step alone: it must saturate and drain every fresh
+    vertex, since vertices that cannot drain form a set of density exactly
+    q, which holds a step edge (the member is below q) and so a fresh one.
     """
     bound = density_bound(s, m)
     a, b = bound.numerator, bound.denominator
     pool = max_vertices + m * s  # fresh ids a step may draw from
     k = 1
-    es: set[Edge] = set()
-    member = None
+    es: list[Edge] = []
+    net = FlowNetwork(a, b)
 
     def fits(new_vertices: int, new_edges: int) -> bool:
         n = k + new_vertices
@@ -202,20 +206,21 @@ def random_family_member(s: int, m: int, rng: random.Random,
     tried = 0
     while tried < attempts and k < max_vertices:
         tried += 1
-        case = rng.choice((1, 2, 3)) if member is not None else 1
-        move = _propose(s, m, list(range(k)), list(range(k, pool)), case, rng, fits)
+        case = rng.choice((1, 2, 3)) if es else 1
+        move = _propose(s, m, range(k), range(k, pool), case, rng, fits)
         if move is None:
             continue
-        cand_es = es.union(move.new_edges)
-        cand = Hypergraph(s, k + len(move.new_vertices), cand_es)
-        if max_density_below(cand, bound):
-            k, es, member = cand.n, cand_es, cand
-    if member is None:
+        n, cand = k + len(move.new_vertices), net.copy()
+        if (cand.grow(n, move.new_edges) == b * (len(es) + len(move.new_edges))
+                and cand.drains(move.new_vertices)):
+            k, net = n, cand
+            es += move.new_edges
+    if not es:
         raise NoWitness(f"no admissible growth step found in {tried} attempts")
-    return member
+    return Hypergraph(s, k, es)
 
 
-def _propose(s: int, m: int, anchors: list[int], fresh: list[int],
+def _propose(s: int, m: int, anchors: range, fresh: range,
              case: int, rng: random.Random, fits) -> ExtensionMove | None:
     """One random shape-valid candidate step, density unchecked, or None.
 
@@ -230,7 +235,7 @@ def _propose(s: int, m: int, anchors: list[int], fresh: list[int],
         ys = fresh[: s - l]
         if len(ys) < s - l or not fits(s - l, 1):
             return None
-        return ExtensionMove(3, tuple(ys), (tuple(sorted(roots + ys)),))
+        return ExtensionMove(3, tuple(ys), (tuple(sorted([*roots, *ys])),))
     k = rng.randint(1, m - 1) if m > 1 else None
     if k is None:
         return None
@@ -254,9 +259,9 @@ def _propose(s: int, m: int, anchors: list[int], fresh: list[int],
         return None
     chain, prev = [], x1
     for j in range(0, need, s - 1):
-        chain.append(tuple(sorted([prev] + ys[j: j + s - 1])))
+        chain.append(tuple(sorted([prev, *ys[j: j + s - 1]])))
         prev = ys[j + s - 2]
-    closing = tuple(sorted(ends + us + fresh[need: need + l]))
+    closing = tuple(sorted([*ends, *us, *fresh[need: need + l]]))
     if closing in chain:  # would dedupe into a pendant path
         return None
     return ExtensionMove(case, tuple(fresh[:need + l]), tuple(chain) + (closing,))

@@ -181,23 +181,15 @@ def density(g: Hypergraph) -> Fraction:
 
 
 def _density_flow(g: Hypergraph, q: Fraction) -> tuple[FlowNetwork, bool]:
-    """Max-flow on the densest-subset network at q = a/b (Goldberg 1984).
-
-    Node 0 is the source, 1 the sink, 2 + i edge i and 2 + e(G) + x
-    vertex x: source -> edge with capacity b, edge -> its vertices
-    unbounded, vertex -> sink with capacity a.  Cutting off vertex set W
-    costs b * (e(G) - e(W)) + a * |W|, so the flow falls short of
-    b * e(G) iff some nonempty W has e(W)/|W| > q.  Returns the network
-    after the flow and whether it fell short.
-
-    Each edge first sends its b units straight into its vertices' spare
-    sink capacity, first come first served; Dinic augments the rest.
-    Which maximum flow comes out does not matter: the residual graph of
-    every maximum flow has the same closed sets, the minimum cuts
-    (Picard & Queyranne 1980).
+    """A maximum densest-subset flow of g at q = a/b (Goldberg 1984), and
+    whether it falls short of b * e(G): cutting off vertex set W costs
+    b * (e(G) - e(W)) + a * |W|, so it does iff some nonempty W has
+    e(W)/|W| > q.  Which maximum flow comes out does not matter: the
+    residual graph of every maximum flow has the same closed sets, the
+    minimum cuts (Picard & Queyranne 1980).
     """
-    net = FlowNetwork.densest_subset(g.edges, g.n, q.numerator, q.denominator)
-    return net, net.max_flow(0, 1) < q.denominator * g.e
+    net = FlowNetwork(q.numerator, q.denominator)
+    return net, net.grow(g.n, g.edges) < q.denominator * g.e
 
 
 def max_density(g: Hypergraph) -> tuple[Fraction, tuple[int, ...]]:
@@ -216,8 +208,7 @@ def max_density(g: Hypergraph) -> tuple[Fraction, tuple[int, ...]]:
         net, short = _density_flow(g, best)
         if not short:
             return best, witness
-        side = net.reachable(0)
-        w = tuple(x for x in range(g.n) if 2 + g.e + x in side)
+        w = tuple(net.source_side())
         got = Fraction(g.edges_inside(w), len(w))
         if got <= best:
             raise AssertionError("min-cut oracle returned a non-improving subset")
@@ -241,9 +232,7 @@ def is_strictly_balanced(g: Hypergraph) -> bool:
         return False
     # s has no residual arc out and t none in, so paths through them
     # connect nothing extra among the middle nodes
-    middle = range(2, 2 + g.e + g.n)
-    return (net.reachable(2).issuperset(middle)
-            and net.reachable(2, backward=True).issuperset(middle))
+    return net.strongly_connected()
 
 
 def max_density_below(g: Hypergraph, q: Fraction) -> bool:
@@ -266,7 +255,7 @@ def max_density_below(g: Hypergraph, q: Fraction) -> bool:
     net, short = _density_flow(g, q)
     if short:
         return False
-    return net.reachable(1, backward=True).issuperset(range(2 + g.e, 2 + g.e + g.n))
+    return net.drains(range(g.n))
 
 
 def _complement(g: Hypergraph) -> Hypergraph:

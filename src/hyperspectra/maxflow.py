@@ -1,136 +1,162 @@
-"""Dinic max-flow on small integer-capacity networks.
+"""The densest-subset flow (Goldberg 1984), stored on a hypergraph's incidence.
 
-Only used as the engine behind the densest-subhypergraph queries, where
-every capacity is an exact integer, so min-cut comparisons stay exact.
+At q = a/b the network runs source -> edge (capacity b) -> each of its
+vertices (unbounded) -> sink (capacity a).  A flow is `sent[i][j]`, the
+units edge i sends its j-th vertex, with `owed[i]` what edge i still owes
+the source and `spare[x]` the sink room left at vertex x.  Capacities are
+exact integers, so min-cut comparisons stay exact.  `grow` adds vertices
+and edges to a flow and augments only what they change.
 """
 from __future__ import annotations
 
-from collections import deque
-
 
 class FlowNetwork:
-    def __init__(self, n: int):
-        self.n = n
-        self.adj: list[list[list[int]]] = [[] for _ in range(n)]
-        self.outflow = [0] * n  # net flow leaving each node
+    def __init__(self, a: int, b: int):
+        self.a, self.b = a, b
+        # per edge its vertices, sent and owed; per vertex spare and (edge, position) pairs
+        self.edges, self.sent, self.owed, self.spare, self.incident = [], [], [], [], []
 
-    @classmethod
-    def densest_subset(cls, edges, n: int, a: int, b: int) -> "FlowNetwork":
-        """The network of `hypergraph._density_flow` at q = a/b, greedy
-        preflow included, built in one pass: the same arcs, in the same
-        order and with the same flows, as one `add_edge` call per arc.
-        Node 0 is the source, 1 the sink, 2 + i edge i and 2 + len(edges)
-        + x vertex x."""
-        vnode = 2 + len(edges)
-        inf = b * len(edges) + a * n + 1
-        net = cls(vnode + n)
-        adj = net.adj
-        source, sink = adj[0], adj[1]
-        spare = [a] * n
-        for i, e in enumerate(edges, 2):
-            arcs = adj[i]
-            left = b
-            for x in e:
+    def copy(self) -> "FlowNetwork":
+        net = FlowNetwork(self.a, self.b)
+        net.edges, net.owed, net.spare = self.edges[:], self.owed[:], self.spare[:]
+        net.sent = [row[:] for row in self.sent]
+        net.incident = [pairs[:] for pairs in self.incident]
+        return net
+
+    def grow(self, n: int, edges) -> int:
+        """Add vertices up to n and the given edges (vertex tuples), and
+        return the value of a maximum flow.  Each new edge first sends its
+        b units straight into its vertices' spare sink room, first come
+        first served; `max_flow` augments the rest."""
+        a, b, spare, incident = self.a, self.b, self.spare, self.incident
+        spare += [a] * (n - len(spare))
+        incident += [[] for _ in range(n - len(incident))]
+        for i, e in enumerate(edges, len(self.edges)):
+            row, left = [], b
+            for j, x in enumerate(e):
                 give = left if left < spare[x] else spare[x]
                 spare[x] -= give
                 left -= give
-                back = adj[vnode + x]
-                arcs.append([vnode + x, inf - give, len(back)])
-                back.append([i, give, len(arcs) - 1])
-            source.append([i, left, len(arcs)])
-            arcs.append([0, b - left, i - 2])
-        for x, room in enumerate(spare):
-            arcs = adj[vnode + x]
-            arcs.append([1, room, x])
-            sink.append([vnode + x, a - room, len(arcs) - 1])
-        net.outflow[0] = a * n - sum(spare)
-        net.outflow[1] = -net.outflow[0]
-        return net
+                row.append(give)
+                incident[x].append((i, j))
+            self.edges.append(e)
+            self.sent.append(row)
+            self.owed.append(left)
+        return self.max_flow()
 
-    def add_edge(self, u: int, v: int, cap: int, flow: int = 0) -> None:
-        """Arc u -> v of capacity cap, already carrying `flow` (0 <= flow <=
-        cap).  Preset flows must conserve flow at every node but the
-        source and the sink; `max_flow` augments from there."""
-        # arc layout: [to, residual capacity, index of reverse arc in adj[to]]
-        self.adj[u].append([v, cap - flow, len(self.adj[v])])
-        self.adj[v].append([u, flow, len(self.adj[u]) - 1])
-        self.outflow[u] += flow
-        self.outflow[v] -= flow
+    def max_flow(self) -> int:
+        """Augment to a maximum flow by Dinic's phases and return its
+        value.  Each phase labels the residual graph by distance from the
+        source, edge and vertex layers in turn, up to the first vertex
+        layer with sink room, and pushes a whole blocking flow."""
+        edges, sent, owed, spare, incident = (self.edges, self.sent, self.owed,
+                                              self.spare, self.incident)
+        while layer := [i for i, left in enumerate(owed) if left]:
+            elevel, vlevel = [0 if left else -1 for left in owed], [-1] * len(spare)
+            depth = 0
+            while layer:
+                depth += 1
+                reached = []
+                for i in layer:
+                    for x in edges[i]:
+                        if vlevel[x] < 0:
+                            vlevel[x] = depth
+                            reached.append(x)
+                if any(spare[x] for x in reached):
+                    break
+                depth += 1
+                layer = []
+                for x in reached:
+                    for i, j in incident[x]:
+                        if sent[i][j] and elevel[i] < 0:
+                            elevel[i] = depth
+                            layer.append(i)
+            else:
+                break  # no vertex with sink room is in reach
+            eit, vit = [0] * len(edges), [0] * len(spare)
 
-    def _bfs(self, s: int, t: int) -> list[int] | None:
-        """Levels by residual distance from s, or None if t is out of
-        reach.  Stops once t is labelled: every node nearer than t is
-        labelled by then, and no shortest path uses the others."""
-        level = [-1] * self.n
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            up = level[u] + 1
-            for v, cap, _ in self.adj[u]:
-                if cap > 0 and level[v] < 0:
-                    level[v] = up
-                    if v == t:
-                        return level
-                    queue.append(v)
-        return None
+            def from_edge(i: int, limit: int) -> int:
+                # eit[i] is i's current arc: those before it lead nowhere in this phase
+                e, row, up, pushed = edges[i], sent[i], elevel[i] + 1, 0
+                for j in range(eit[i], len(e)):
+                    x = e[j]
+                    if vlevel[x] == up:
+                        got = from_vertex(x, limit - pushed)
+                        if got:
+                            row[j] += got
+                            pushed += got
+                            if pushed == limit:
+                                eit[i] = j  # the arc may have room left: keep it current
+                                return pushed
+                eit[i] = len(e)
+                return pushed
 
-    def _dfs(self, u: int, t: int, limit: int, level: list[int], it: list[int]) -> int:
-        """Push up to `limit` units from u to t along arcs that go one level
-        up, and return how much went.  it[u] is u's current arc: the arcs
-        before it are saturated or lead nowhere in this phase, so a whole
-        blocking flow takes one call from the source."""
-        if u == t:
-            return limit
-        adj = self.adj
-        arcs = adj[u]
-        up = level[u] + 1
-        pushed = 0
-        i, end = it[u], len(arcs)
-        while i < end:
-            arc = arcs[i]
-            v, cap, rev = arc
-            if cap > 0 and level[v] == up:
-                got = self._dfs(v, t, min(limit - pushed, cap), level, it)
-                if got:
-                    arc[1] = cap - got
-                    adj[v][rev][1] += got
-                    pushed += got
-                    if pushed == limit:
-                        break  # the arc may have room left: keep it current
-            i += 1
-        it[u] = i
-        return pushed
+            def from_vertex(x: int, limit: int) -> int:
+                if vlevel[x] == depth:
+                    give = limit if limit < spare[x] else spare[x]
+                    spare[x] -= give
+                    return give
+                pairs, up, pushed = incident[x], vlevel[x] + 1, 0
+                for k in range(vit[x], len(pairs)):
+                    i, j = pairs[k]
+                    have = sent[i][j]
+                    if have and elevel[i] == up:
+                        got = from_edge(i, limit - pushed if limit - pushed < have else have)
+                        if got:
+                            sent[i][j] = have - got
+                            pushed += got
+                            if pushed == limit:
+                                vit[x] = k
+                                return pushed
+                vit[x] = len(pairs)
+                return pushed
 
-    def max_flow(self, s: int, t: int) -> int:
-        """Augment to a maximum s -> t flow and return its value, flow
-        preset by `add_edge` or `densest_subset` included."""
-        total = 0
-        while True:
-            level = self._bfs(s, t)
-            if level is None:
-                break
-            limit = sum(arc[1] for arc in self.adj[s])
-            total += self._dfs(s, t, limit, level, [0] * self.n)
-        self.outflow[s] += total
-        self.outflow[t] -= total
-        return self.outflow[s]
+            for i, left in enumerate(owed):
+                if left:
+                    owed[i] = left - from_edge(i, left)
+            del from_edge, from_vertex  # a cycle: free the phase's lists now, not at a gc pass
+        return self.b * len(edges) - sum(owed)
 
-    def reachable(self, start: int, backward: bool = False) -> set[int]:
-        """Nodes reachable from start in the residual graph.
+    def _reach(self, etodo, vtodo, backward: bool = False) -> tuple[list[bool], list[bool]]:
+        """Flags of the edge and vertex nodes reachable in the residual
+        graph from the given ones; with backward, of those they are
+        reachable from.  Forward an edge reaches all its vertices and a
+        vertex the edges that send to it; backward the roles swap."""
+        sent, edges, incident = self.sent, self.edges, self.incident
+        eseen, vseen = [False] * len(edges), [False] * len(self.spare)
+        for i in etodo:
+            eseen[i] = True
+        for x in vtodo:
+            vseen[x] = True
+        while etodo or vtodo:
+            for i in etodo:
+                for j, x in enumerate(edges[i]):
+                    if not vseen[x] and (sent[i][j] or not backward):
+                        vseen[x] = True
+                        vtodo.append(x)
+            etodo = []
+            for x in vtodo:
+                for i, j in incident[x]:
+                    if not eseen[i] and (backward or sent[i][j]):
+                        eseen[i] = True
+                        etodo.append(i)
+            vtodo = []
+        return eseen, vseen
 
-        From s that is the source side of a minimum cut.  With backward,
-        the nodes from which start is reachable instead.
-        """
-        adj = self.adj
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v, cap, rev in adj[u]:
-                if backward:
-                    cap = adj[v][rev][1]  # residual capacity of the arc v -> u
-                if cap > 0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
+    def drains(self, vertices) -> bool:
+        """True iff every given vertex reaches the sink in the residual graph."""
+        vseen = self._reach([], [x for x, room in enumerate(self.spare) if room], backward=True)[1]
+        return all(vseen[x] for x in vertices)
+
+    def source_side(self) -> list[int]:
+        """The vertices reachable from the source in the residual graph:
+        after a maximum flow, those of the smallest minimum cut."""
+        vseen = self._reach([i for i, left in enumerate(self.owed) if left], [])[1]
+        return [x for x, seen in enumerate(vseen) if seen]
+
+    def strongly_connected(self) -> bool:
+        """True iff the edge and vertex nodes form one strongly connected
+        piece of the residual graph, the source and the sink left out.
+        Needs at least one edge."""
+        return all(all(flags) for backward in (False, True)
+                   for flags in self._reach([0], [], backward))

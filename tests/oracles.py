@@ -9,22 +9,22 @@ code against these on small instances.
 import itertools
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
+from hyperspectra.cyclic import _propose, density_bound
 from hyperspectra.errors import (BudgetExceeded, DegeneratePair, DEFAULT_EVAL_BUDGET,
-                                 DEFAULT_PAIR_CAP, check_budget, check_cap)
+                                 DEFAULT_PAIR_CAP, NoWitness, check_budget, check_cap)
 from hyperspectra.experiments import EstimateReport, wilson_interval
 from hyperspectra.extensions import PairClass, RootedPair, pair_density
 from hyperspectra.game import DUPLICATOR, SPOILER, extends_partial_iso
-from hyperspectra.hypergraph import Hypergraph, contains_copy
+from hyperspectra.hypergraph import Hypergraph, contains_copy, max_density_below
 from hyperspectra.logic import (And, EdgeAtom, Equal, Exists, Forall, Formula,
                                 Implies, Not, Or, evaluate, parse)
-from hyperspectra.maxflow import FlowNetwork
 from hyperspectra.sampling import ModelParams, p_from_alpha, sample
 
 
@@ -50,25 +50,150 @@ def brute_is_strictly_balanced(g: Hypergraph) -> bool:
     return True
 
 
-def density_network(g: Hypergraph, q: Fraction) -> FlowNetwork:
-    """The densest-subset network at q = a/b with its greedy preflow, one
-    `add_edge` call per arc: the reference for `FlowNetwork.densest_subset`."""
+class ArcNetwork:
+    """Dinic max-flow on a generic arc-list network with integer
+    capacities: the reference for `FlowNetwork`, which stores only the
+    densest-subset network, on a hypergraph's incidence."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.adj: list[list[list[int]]] = [[] for _ in range(n)]
+        self.outflow = [0] * n  # net flow leaving each node
+
+    def add_edge(self, u: int, v: int, cap: int, flow: int = 0) -> None:
+        """Arc u -> v of capacity cap, already carrying `flow` (0 <= flow <=
+        cap).  Preset flows must conserve flow at every node but the
+        source and the sink; `max_flow` augments from there."""
+        # arc layout: [to, residual capacity, index of reverse arc in adj[to]]
+        self.adj[u].append([v, cap - flow, len(self.adj[v])])
+        self.adj[v].append([u, flow, len(self.adj[u]) - 1])
+        self.outflow[u] += flow
+        self.outflow[v] -= flow
+
+    def _bfs(self, s: int, t: int) -> list[int] | None:
+        """Levels by residual distance from s, or None if t is out of
+        reach.  Stops once t is labelled."""
+        level = [-1] * self.n
+        level[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for v, cap, _ in self.adj[u]:
+                if cap > 0 and level[v] < 0:
+                    level[v] = level[u] + 1
+                    if v == t:
+                        return level
+                    queue.append(v)
+        return None
+
+    def _dfs(self, u: int, t: int, limit: int, level: list[int], it: list[int]) -> int:
+        """Push up to `limit` units from u to t along arcs one level up;
+        it[u] is u's current arc."""
+        if u == t:
+            return limit
+        arcs = self.adj[u]
+        pushed = 0
+        while it[u] < len(arcs):
+            arc = arcs[it[u]]
+            v, cap, rev = arc
+            if cap > 0 and level[v] == level[u] + 1:
+                got = self._dfs(v, t, min(limit - pushed, cap), level, it)
+                if got:
+                    arc[1] -= got
+                    self.adj[v][rev][1] += got
+                    pushed += got
+                    if pushed == limit:
+                        break
+            it[u] += 1
+        return pushed
+
+    def max_flow(self, s: int, t: int) -> int:
+        """Augment to a maximum s -> t flow and return its value, preset
+        flow included."""
+        total = 0
+        while (level := self._bfs(s, t)) is not None:
+            limit = sum(arc[1] for arc in self.adj[s])
+            total += self._dfs(s, t, limit, level, [0] * self.n)
+        self.outflow[s] += total
+        self.outflow[t] -= total
+        return self.outflow[s]
+
+    def reachable(self, start: int, backward: bool = False) -> set[int]:
+        """Nodes reachable from start in the residual graph; with
+        backward, the nodes from which start is reachable."""
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v, cap, rev in self.adj[u]:
+                if backward:
+                    cap = self.adj[v][rev][1]  # residual capacity of the arc v -> u
+                if cap > 0 and v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        return seen
+
+
+def density_network(g: Hypergraph, q: Fraction) -> ArcNetwork:
+    """The densest-subset network at q = a/b, one `add_edge` call per arc,
+    with no preset flow.  Node 0 is the source, 1 the sink, 2 + i edge i
+    and 2 + e(G) + x vertex x."""
     a, b = q.numerator, q.denominator
-    net = FlowNetwork(2 + g.e + g.n)
+    net = ArcNetwork(2 + g.e + g.n)
     vnode = 2 + g.e
     inf = b * g.e + a * g.n + 1
-    spare = [a] * g.n
     for i, e in enumerate(g.edges):
-        left = b
+        net.add_edge(0, 2 + i, b)
         for x in e:
-            give = min(left, spare[x])
-            spare[x] -= give
-            left -= give
-            net.add_edge(2 + i, vnode + x, inf, give)
-        net.add_edge(0, 2 + i, b, b - left)
+            net.add_edge(2 + i, vnode + x, inf)
     for x in range(g.n):
-        net.add_edge(vnode + x, 1, a, a - spare[x])
+        net.add_edge(vnode + x, 1, a)
     return net
+
+
+def density_answers(g: Hypergraph, q: Fraction):
+    """From a maximum flow of `density_network(g, q)`: its value, the
+    vertices that drain to the sink, the source side's vertices, and
+    whether the edge and vertex nodes are strongly connected."""
+    net = density_network(g, q)
+    value = net.max_flow(0, 1)
+    vnode = 2 + g.e
+    middle = set(range(2, vnode + g.n))
+    drained = {x for x in range(g.n) if vnode + x in net.reachable(1, backward=True)}
+    side = [x for x in range(g.n) if vnode + x in net.reachable(0)]
+    linked = bool(g.e) and middle <= net.reachable(2) and middle <= net.reachable(2, backward=True)
+    return value, drained, side, linked
+
+
+def family_member_by_rebuild(s: int, m: int, rng, max_vertices: int = 20,
+                             attempts: int = 40) -> Hypergraph:
+    """`random_family_member` checking each candidate the plain way: build
+    the candidate `Hypergraph` and ask `max_density_below`."""
+    bound = density_bound(s, m)
+    a, b = bound.numerator, bound.denominator
+    pool = max_vertices + m * s
+    k = 1
+    es: set = set()
+    member = None
+
+    def fits(new_vertices: int, new_edges: int) -> bool:
+        n = k + new_vertices
+        return n <= max_vertices and (len(es) + new_edges) * b < a * n
+
+    tried = 0
+    while tried < attempts and k < max_vertices:
+        tried += 1
+        case = rng.choice((1, 2, 3)) if member is not None else 1
+        move = _propose(s, m, list(range(k)), list(range(k, pool)), case, rng, fits)
+        if move is None:
+            continue
+        cand_es = es.union(move.new_edges)
+        cand = Hypergraph(s, k + len(move.new_vertices), cand_es)
+        if max_density_below(cand, bound):
+            k, es, member = cand.n, cand_es, cand
+    if member is None:
+        raise NoWitness(f"no admissible growth step found in {tried} attempts")
+    return member
 
 
 def brute_min_cut(n: int, arcs, s: int, t: int) -> tuple[int, frozenset[int]]:

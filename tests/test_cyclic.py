@@ -17,6 +17,8 @@ from hyperspectra.cyclic import (
 from hyperspectra.errors import CapExceeded, NotInFamily, NoWitness
 from hyperspectra.hypergraph import Hypergraph, max_density
 
+import oracles
+
 
 # loose 3-cycle whose vertex 0 is interior to one edge: a closed path
 # grown out of 0 never returns to 0 itself, it closes onto the path
@@ -164,19 +166,20 @@ class TestFamilySampling:
         """The 102 members the `exact` benchmark draws, m = 2, 3, 4 from one
         rng: a step drawing one value more or fewer changes the digest,
         recorded before steps were refused by their counts.  490 candidates
-        reach a flow, and only they are built into an `ExtensionMove`."""
+        reach a flow, a copy of the member's, and only they are built into
+        an `ExtensionMove`."""
         counts = {"flows": 0, "moves": 0}
-        below, move = cyclic.max_density_below, cyclic.ExtensionMove
+        copy, move = cyclic.FlowNetwork.copy, cyclic.ExtensionMove
 
-        def counted_below(g, q):
+        def counted_copy(net):
             counts["flows"] += 1
-            return below(g, q)
+            return copy(net)
 
         def counted_move(*args):
             counts["moves"] += 1
             return move(*args)
 
-        monkeypatch.setattr(cyclic, "max_density_below", counted_below)
+        monkeypatch.setattr(cyclic.FlowNetwork, "copy", counted_copy)
         monkeypatch.setattr(cyclic, "ExtensionMove", counted_move)
         rng = random.Random(700)
         rows = []
@@ -203,6 +206,41 @@ class TestFamilySampling:
             assert max_density(g)[0] < density_bound(2, m)
             grown += 1
         assert grown == (5 if m == 4 else 0)
+
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_growth_matches_rebuild_oracle(self, s, monkeypatch):
+        """Each candidate checked on the member's grown flow gives the
+        verdict of a `Hypergraph` built and asked `max_density_below`:
+        the same members, the same `NoWitness` messages and the same rng
+        state after.  On every candidate whose flow saturates, draining
+        the fresh vertices agrees with draining all of them."""
+        drains = cyclic.FlowNetwork.drains
+        checked = []
+
+        def both(net, vertices):
+            got = drains(net, vertices)
+            assert got == drains(net, range(len(net.spare)))
+            checked.append(got)
+            return got
+
+        monkeypatch.setattr(cyclic.FlowNetwork, "drains", both)
+        outcomes = set()
+        for m, max_vertices, seed in itertools.product((2, 3, 4), (1, 6, 12, 20), range(8)):
+            fast, slow = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                try:
+                    got = random_family_member(s, m, fast, max_vertices)
+                except NoWitness as exc:
+                    got = str(exc)
+                try:
+                    want = oracles.family_member_by_rebuild(s, m, slow, max_vertices)
+                except NoWitness as exc:
+                    want = str(exc)
+                assert got == want, (s, m, max_vertices, seed)
+                assert fast.getstate() == slow.getstate()
+                outcomes.add(type(got))
+        assert outcomes == {str, Hypergraph}
+        assert set(checked) == {True, False}
 
     @pytest.mark.parametrize("max_vertices,attempts,made", [
         (0, 40, 0), (1, 40, 0), (2, 40, 40), (2, 7, 7)])

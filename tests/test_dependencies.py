@@ -70,10 +70,14 @@ def test_every_private_function_is_called():
 
 
 def test_flow_arcs_only_in_maxflow():
-    # the arc layout of a FlowNetwork is maxflow.py's own: no other module
-    # reads or writes `adj` or `outflow`
+    # the flow state of a FlowNetwork is maxflow.py's own: no other module
+    # reads or writes `sent`, `owed` or `spare` (`incident` and `edges`
+    # are a Hypergraph's names too, so they are not searched)
     touched = [f"{path.name}:{node.lineno} .{node.attr}"
                for path in MODULES if path.name != "maxflow.py"
                for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-               if isinstance(node, ast.Attribute) and node.attr in ("adj", "outflow")]
-    assert not touched, f"flow arcs used outside maxflow.py: {', '.join(touched)}"
+               if isinstance(node, ast.Attribute) and node.attr in ("sent", "owed", "spare")]
+    assert not touched, f"flow state used outside maxflow.py: {', '.join(touched)}"
+    # the benchmark's tracer wraps this method by name
+    from hyperspectra.maxflow import FlowNetwork
+    assert callable(FlowNetwork.__dict__.get("max_flow"))

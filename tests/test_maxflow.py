@@ -1,4 +1,5 @@
-"""Max-flow against exhaustive min cuts, and the density flows built on it."""
+"""Max-flow against exhaustive min cuts, the incidence flow against the
+arc-list reference, and the density routines built on it."""
 
 import hashlib
 import json
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from hyperspectra import hypergraph
-from hyperspectra.hypergraph import (Hypergraph, is_strictly_balanced, max_density,
+from hyperspectra.hypergraph import (Hypergraph, density, is_strictly_balanced, max_density,
                                      max_density_below)
 from hyperspectra.maxflow import FlowNetwork
 
@@ -56,7 +57,7 @@ def test_max_flow_matches_brute_min_cut(preset):
     for _ in range(400):
         n, s, t, arcs = random_network(rng)
         flow = preset_flow(rng, n, s, t, arcs) if preset else [0] * len(arcs)
-        net = FlowNetwork(n)
+        net = oracles.ArcNetwork(n)
         for (u, v, cap), f in zip(arcs, flow):
             net.add_edge(u, v, cap, f)
         started += net.outflow[s] > 0
@@ -136,11 +137,105 @@ def test_density_fingerprint():
     assert digest == "189ee3fee6b7e4a4fd80f07578c701a8b985f82eba3efecc5982ad2bcbf12efb"
 
 
+def incidence_answers(net: FlowNetwork, n: int):
+    """The drain set, the source side and strong connectivity of a
+    maximum incidence flow, in the form of `oracles.density_answers`."""
+    drained = {x for x in range(n) if net.drains([x])}
+    return drained, net.source_side(), bool(net.edges) and net.strongly_connected()
+
+
+def random_q(rng, g):
+    """q from g's whole density, from a random subset's density, or at random:
+    the first two make ties, where a flow saturates exactly."""
+    w = rng.sample(range(g.n), rng.randint(1, g.n))
+    return rng.choice((density(g), Fraction(g.edges_inside(w), len(w)),
+                       Fraction(rng.randint(1, 30), rng.randint(1, 12))))
+
+
+def test_incidence_flow_matches_brute_min_cut():
+    """Every densest-subset network drawn here has at most 10 nodes; the
+    incidence flow's value and its smallest source side, the vertices it
+    names plus the edges inside them, match an exhaustive cut scan."""
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(1500):
+        s = rng.choice((2, 3))
+        n = rng.randint(1, 7)
+        g = oracles.random_hypergraph(rng, s, n, rng.random())
+        if 2 + g.e + g.n > 10:
+            continue
+        q = random_q(rng, g)
+        a, b = q.numerator, q.denominator
+        vnode = 2 + g.e
+        arcs = [(0, 2 + i, b) for i in range(g.e)]
+        arcs += [(2 + i, vnode + x, b * g.e + a * g.n + 1) for i, e in enumerate(g.edges) for x in e]
+        arcs += [(vnode + x, 1, a) for x in range(g.n)]
+        value, side = oracles.brute_min_cut(2 + g.e + g.n, arcs, 0, 1)
+        net = FlowNetwork(a, b)
+        assert net.grow(g.n, g.edges) == value, (g, q)
+        w = net.source_side()
+        want = {0} | {2 + i for i, e in enumerate(g.edges) if set(e) <= set(w)}
+        assert side == want | {vnode + x for x in w}, (g, q)
+        seen.add((g.e > 0, value < b * g.e))
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_incidence_flow_matches_reference_network():
+    """On hypergraphs beyond exhaustive cuts, the incidence flow gives the
+    arc-list reference's value, drain set and source side, and, where it
+    is read (q = e/v and no shortfall; otherwise paths through the sink
+    decide it), its strong connectivity.  A flow grown in random chunks
+    of vertices and edges gives the answers of one built from scratch,
+    and growing a copy leaves the original's answers as they were."""
+    rng = random.Random(47)
+    linked = {True: 0, False: 0}
+    for _ in range(400):
+        s = rng.choice((2, 3, 4))
+        g = oracles.random_hypergraph(rng, s, rng.randint(1, 14), rng.random() ** 2)
+        if g.n <= 7 and rng.random() < 0.5:
+            # two disjoint copies: balanced at e/v, never strictly
+            g = Hypergraph(s, 2 * g.n, [*g.edges, *(tuple(x + g.n for x in e) for e in g.edges)])
+        q = random_q(rng, g)
+        a, b = q.numerator, q.denominator
+        value, drained, side, connected = oracles.density_answers(g, q)
+        read = g.e and q == density(g) and value == b * g.e
+        whole = FlowNetwork(a, b)
+        assert whole.grow(g.n, g.edges) == value, (g, q)
+        got = incidence_answers(whole, g.n)
+        assert got[:2] == (drained, side), (g, q)
+        if read:
+            assert got[2] == connected, (g, q)
+            linked[connected] += 1
+        # the same flow grown chunk by chunk, the edges in a shuffled order
+        edges = list(g.edges)
+        rng.shuffle(edges)
+        grown, done, prefix = FlowNetwork(a, b), 0, None
+        while done < len(edges) or len(grown.spare) < g.n:
+            chunk = edges[done: done + rng.randint(0, 4)]
+            done += len(chunk)
+            top = max((x + 1 for e in chunk for x in e), default=len(grown.spare))
+            n = rng.randint(max(top, len(grown.spare)), g.n)
+            if done < len(edges) and prefix is None and rng.random() < 0.5:
+                prefix = (grown.copy(), n, chunk)
+            flow = grown.grow(n, chunk)
+        assert flow == value, (g, q)
+        assert incidence_answers(grown, g.n)[:2 + bool(read)] == got[:2 + bool(read)], (g, q)
+        if prefix is not None:
+            # a copy grows on its own: the original keeps its answers
+            net, n, chunk = prefix
+            before = incidence_answers(net, len(net.spare))
+            net.copy().grow(n, chunk)
+            assert incidence_answers(net, len(net.spare)) == before
+            sub = Hypergraph(s, len(net.spare), net.edges)
+            assert before[:2] == oracles.density_answers(sub, q)[1:3], (g, q)
+    assert min(linked.values()) >= 10, linked
+
+
 def test_one_pass_network_matches_add_edge_build():
-    """`FlowNetwork.densest_subset` lays out the arcs, in order, with the
-    flows of one `add_edge` call per arc; q is drawn both at random and
-    from subset densities, so the greedy preflow meets ties.  The density
-    answers on those networks match exhaustive scans."""
+    """The incidence flow gives the answers of the arc-list reference
+    network, one `add_edge` call per arc; q is drawn both at random and
+    from subset densities, so the greedy placement meets ties.  The
+    density answers on those networks match exhaustive scans."""
     rng = random.Random(29)
     for _ in range(300):
         s = rng.choice((2, 3, 4))
@@ -150,9 +245,10 @@ def test_one_pass_network_matches_add_edge_build():
         qs = (rho, Fraction(g.edges_inside(w), len(w)),
               Fraction(rng.randint(0, 30), rng.randint(1, 12)))
         for q in qs:
-            net = FlowNetwork.densest_subset(g.edges, g.n, q.numerator, q.denominator)
-            want = oracles.density_network(g, q)
-            assert (net.adj, net.outflow) == (want.adj, want.outflow), (g, q)
+            value, drained, side, _ = oracles.density_answers(g, q)
+            net = FlowNetwork(q.numerator, q.denominator)
+            assert net.grow(g.n, g.edges) == value, (g, q)
+            assert incidence_answers(net, g.n)[:2] == (drained, side), (g, q)
             assert max_density_below(g, q) == (rho < q)
         assert max_density(g)[0] == rho
         if g.e:

@@ -8,6 +8,7 @@ digits.  Identical flags and seed give byte-identical JSON.  Exit codes:
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -547,9 +548,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def shared_parser() -> argparse.ArgumentParser:
+    """This process's one parser, built on first use: building one takes
+    far longer than parsing with it.  Its handlers are bound when it is
+    built, so they reach the library through module globals, where a
+    tracer or a test patches it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = shared_parser().parse_args(argv)
     try:
         doc, artifact = args.handler(args)
         # sweep's natural csv is the summary table, not key/value rows

@@ -246,10 +246,10 @@ def _propose(s: int, m: int, anchors: range, fresh: range,
     x1 = rng.choice(anchors)
     ends = [ys[-1]]  # the path's tip, and in case 2 the second anchor
     if case == 2:
-        others = [x for x in anchors if x != x1]
-        if not others:
+        if len(anchors) < 2:
             return None
-        ends.append(rng.choice(others))
+        j = rng.choice(range(len(anchors) - 1))  # a position among the other anchors
+        ends.append(anchors[j + (j >= anchors.index(x1))])
     l = rng.randint(0, s - 2)
     us_need = s - len(ends) - l  # path vertices the closing edge reuses
     if us_need > need - 1:

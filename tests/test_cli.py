@@ -9,7 +9,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from hyperspectra.cli import build_parser, frac_str, jsonable, main, parse_rational
+from hyperspectra.cli import (build_parser, frac_str, jsonable, main, parse_rational,
+                              shared_parser)
 from hyperspectra.hypergraph import Hypergraph
 
 import oracles
@@ -474,6 +475,56 @@ class TestSubcommands:
         if command == "sweep":
             # every sweep thresholds one draw per trial at all of its exponents
             assert doc["coupled"] is True
+
+
+class TestSharedParser:
+    """`main` parses with one parser per process, which no call may change."""
+
+    @staticmethod
+    def outcome(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("sequence", ["usage_error", "append", "exclusive_group"])
+    def test_calls_leave_no_state(self, files, capsys, sequence):
+        """Each call of a sequence prints and returns what it does on a
+        parser of its own, as in a process that runs it alone."""
+        calls = {
+            "usage_error": [["density"], ["density", "--in", files.edge3]],
+            "append": [["poisson", "--pattern", files.triangle, "--pattern", files.c4,
+                        "--n", "40", "--trials", "5", "--p", "1/20"],
+                       ["poisson", "--pattern", files.triangle,
+                        "--n", "40", "--trials", "5", "--p", "1/20"]],
+            "exclusive_group": [["sample", "--s", "3", "--n", "12", "--p", "1/50"],
+                                ["sample", "--s", "3", "--n", "12", "--alpha", "2"]],
+        }[sequence]
+        alone = []
+        for argv in calls:
+            shared_parser.cache_clear()
+            alone.append(self.outcome(argv, capsys))
+        shared_parser.cache_clear()
+        assert [self.outcome(argv, capsys) for argv in calls] == alone
+        assert [code for code, _, _ in alone] == [2 if sequence == "usage_error" else 0, 0]
+
+    def test_later_calls_build_no_parser(self, files, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        assert build_parser() is not build_parser() and built  # the count sees a build
+        argv = ["density", "--in", files.edge3]
+        assert self.outcome(argv, capsys)[0] == 0  # builds the shared parser if no test has
+        built.clear()
+        assert self.outcome(argv, capsys)[0] == 0
+        assert built == []
 
 
 class TestDeterminism:

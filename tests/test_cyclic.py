@@ -15,7 +15,7 @@ from hyperspectra.cyclic import (
     random_family_member,
 )
 from hyperspectra.errors import CapExceeded, NotInFamily, NoWitness
-from hyperspectra.hypergraph import Hypergraph, max_density
+from hyperspectra.hypergraph import Hypergraph, max_density, max_density_below
 
 import oracles
 
@@ -241,6 +241,29 @@ class TestFamilySampling:
                 outcomes.add(type(got))
         assert outcomes == {str, Hypergraph}
         assert set(checked) == {True, False}
+
+    def test_step_with_a_later_fresh_vertex_undrained(self, monkeypatch):
+        """A step whose first fresh vertex drains and whose second does not:
+        on a triangle, vertex 3 hangs off vertex 0 while vertex 4 closes a
+        K4, of density exactly the bound 3/2 at s = 2, m = 3.  The step is
+        refused, as `max_density_below` on the built candidate says, and
+        both growers return the triangle."""
+        triangle = cyclic.ExtensionMove(1, (1, 2), ((0, 1), (1, 2), (0, 2)))
+        step = cyclic.ExtensionMove(2, (3, 4), ((0, 3), (0, 4), (1, 4), (2, 4)))
+        cand = Hypergraph(2, 5, triangle.new_edges + step.new_edges)
+        assert not max_density_below(cand, density_bound(2, 3))
+        net = cyclic.FlowNetwork(3, 2)
+        assert net.grow(5, cand.edges) == 2 * cand.e  # saturated: only draining refuses it
+        assert net.drains([3]) and not net.drains([4])
+
+        def scripted(*moves):
+            left = iter(moves)
+            return lambda *args: next(left, None)
+
+        for module, grow in ((cyclic, random_family_member),
+                             (oracles, oracles.family_member_by_rebuild)):
+            monkeypatch.setattr(module, "_propose", scripted(triangle, step))
+            assert grow(2, 3, random.Random(0)) == Hypergraph(2, 3, triangle.new_edges)
 
     @pytest.mark.parametrize("max_vertices,attempts,made", [
         (0, 40, 0), (1, 40, 0), (2, 40, 40), (2, 7, 7)])
